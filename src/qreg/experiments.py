@@ -37,7 +37,8 @@ from .records import RunRecord, fmt
 from .regularization import RegularizerConfig
 from .training import MODES, train
 
-MULTITASK_MODES = ("none", "weight_decay", "dropout", "label_smoothing", "pruning", "quantization")
+# the multitask protocol early-stops every mode, so the standalone mode is moot
+MULTITASK_MODES = tuple(m for m in MODES if m != "early_stopping")
 
 
 def image_shape(dim: int) -> tuple[int, int, int]:
@@ -133,12 +134,16 @@ def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
     """Run every job and return results sorted by job coordinates.
 
     QREG_THREADS > 1 distributes jobs over that many worker processes; the
-    default is serial. Failures do not stop the batch.
+    default is serial. A value that is not an integer >= 1 is a ConfigError.
+    Failures do not stop the batch.
     """
+    raw = os.environ.get("QREG_THREADS", "1")
     try:
-        workers = int(os.environ.get("QREG_THREADS", "1"))
+        workers = int(raw)
     except ValueError:
-        workers = 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"QREG_THREADS must be an integer >= 1, got '{raw}'")
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_job, jobs))

@@ -57,7 +57,7 @@ class Dense(Layer):
         self.bias = T.parameter(np.zeros(out_features))
 
     def forward_with(self, x: Node, weight: Node) -> Node:
-        return T.add(T.matmul(x, T.transpose(weight)), self.bias)
+        return T.linear(x, weight, self.bias)
 
     def forward(self, x: Node, train_mode: bool, rng) -> Node:
         return self.forward_with(x, self.weight)
@@ -92,8 +92,7 @@ class Conv2d(Layer):
         self.bias = T.parameter(np.zeros(out_channels))
 
     def forward_with(self, x: Node, weight: Node) -> Node:
-        out = T.conv2d(x, weight, self.stride, self.padding)
-        return T.add(out, T.reshape(self.bias, (1, self.out_channels, 1, 1)))
+        return T.conv2d(x, weight, self.stride, self.padding, bias=self.bias)
 
     def forward(self, x: Node, train_mode: bool, rng) -> Node:
         return self.forward_with(x, self.weight)
@@ -109,6 +108,9 @@ class BatchNorm(Layer):
     running statistics as running <- momentum*running + (1-momentum)*batch.
     Eval mode normalizes by the running statistics. Accepts [N, D] input
     (normalizes over N) or [N, C, H, W] (normalizes over N, H, W).
+
+    Each mode is one fused graph node (T.batch_norm, T.batch_norm_eval) that
+    is bit for bit the composition of elementary ops it replaces.
     """
 
     kind = "batchnorm"
@@ -122,33 +124,27 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
-    def _axes_and_shape(self, x: Node):
+    def _axes(self, x: Node) -> tuple[int, ...]:
         if x.value.ndim == 2:
-            return (0,), (1, self.dim)
+            return (0,)
         if x.value.ndim == 4:
-            return (0, 2, 3), (1, self.dim, 1, 1)
+            return (0, 2, 3)
         raise DimensionError(f"batchnorm expects 2-d or 4-d input, got {x.shape}")
 
     def forward(self, x: Node, train_mode: bool, rng) -> Node:
-        axes, pshape = self._axes_and_shape(x)
+        axes = self._axes(x)
         if x.shape[1] != self.dim:
             raise DimensionError(f"batchnorm dim {self.dim} vs input feature dim {x.shape[1]}")
-        gamma = T.reshape(self.gamma, pshape)
-        beta = T.reshape(self.beta, pshape)
-        if train_mode:
-            if x.shape[0] < 2:
-                raise ContractError("batchnorm needs a batch of at least 2 in train mode")
-            mu = T.reduce_mean(x, axis=axes, keepdims=True)
-            xc = T.sub(x, mu)
-            var = T.reduce_mean(T.mul(xc, xc), axis=axes, keepdims=True)
-            m = self.momentum
-            self.running_mean = m * self.running_mean + (1.0 - m) * mu.value.reshape(self.dim)
-            self.running_var = m * self.running_var + (1.0 - m) * var.value.reshape(self.dim)
-            inv = T.power(T.add(var, T.constant(self.eps)), -0.5)
-            return T.add(T.mul(T.mul(xc, inv), gamma), beta)
-        rm = T.constant(self.running_mean.reshape(pshape))
-        inv = T.constant(1.0 / np.sqrt(self.running_var.reshape(pshape) + self.eps))
-        return T.add(T.mul(T.mul(T.sub(x, rm), inv), gamma), beta)
+        if not train_mode:
+            return T.batch_norm_eval(x, self.gamma, self.beta, axes,
+                                     self.running_mean, self.running_var, self.eps)
+        if x.shape[0] < 2:
+            raise ContractError("batchnorm needs a batch of at least 2 in train mode")
+        out, mu, var = T.batch_norm(x, self.gamma, self.beta, axes, self.eps)
+        m = self.momentum
+        self.running_mean = m * self.running_mean + (1.0 - m) * mu.reshape(self.dim)
+        self.running_var = m * self.running_var + (1.0 - m) * var.reshape(self.dim)
+        return out
 
     def named_parameters(self):
         return [("gamma", self.gamma), ("beta", self.beta)]

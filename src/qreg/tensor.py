@@ -10,6 +10,13 @@ gradients into every reachable node that requires them.
 Values are float64 throughout. Arrays handed to a Node are treated as
 immutable from then on; optimizers rebind `node.value` to a fresh array
 rather than writing in place.
+
+The layers run on three fused nodes: linear (dense affine map), conv2d with
+its bias, and batch_norm / batch_norm_eval. Each replaces a composition of
+the elementary ops above with one node whose forward and backward evaluate
+that composition's numpy expressions, in the order its graph sums them, so
+values and gradients are bit for bit those of the composed graph. Each
+fused op's docstring names the composition it stands for.
 """
 
 from __future__ import annotations
@@ -197,6 +204,33 @@ def matmul(a: Node, b: Node) -> Node:
     return Node(av @ bv, (a, b), rule)
 
 
+def linear(x: Node, w: Node, b: Node) -> Node:
+    """Affine map x [N,D] @ w.T + b with w [F,D], as one node.
+
+    Stands for add(matmul(x, transpose(w)), b): the transposed weight is
+    made contiguous as the transpose node made it, and the gradients are the
+    composed graph's g @ wt.T, (x.T @ g).T and the bias sum.
+    """
+    if w.value.ndim != 2:
+        raise DimensionError(f"linear needs a 2-d weight, got {w.shape}")
+    if x.value.ndim != 2:
+        raise DimensionError(f"linear needs a 2-d input, got {x.shape}")
+    if x.shape[1] != w.shape[1]:
+        raise DimensionError(f"linear: input has {x.shape[1]} features but weight expects {w.shape[1]}")
+    if b.shape != (w.shape[0],):
+        raise DimensionError(f"linear: bias {b.shape} does not match {w.shape[0]} outputs")
+    xv, bv = x.value, b.value
+    wt = np.ascontiguousarray(w.value.T)
+
+    def rule(g: Array):
+        gx = g @ wt.T if x.requires_grad else None
+        gw = (xv.T @ g).T if w.requires_grad else None
+        gb = _unbroadcast(g, bv.shape) if b.requires_grad else None
+        return gx, gw, gb
+
+    return Node(xv @ wt + bv, (x, w, b), rule)
+
+
 def transpose(a: Node) -> Node:
     if a.value.ndim != 2:
         raise DimensionError(f"transpose needs a 2-d operand, got {a.shape}")
@@ -309,12 +343,17 @@ def straight_through(a: Node, forward: Callable[[Array], Array]) -> Node:
     return Node(out, (a,), lambda g: (g,))
 
 
-def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0) -> Node:
+def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0, bias: Node | None = None) -> Node:
     """2-d cross-correlation of x [N,C,H,W] with filters w [F,C,kh,kw].
 
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1 per axis.
-    Implemented as im2col + one matmul; the backward scatter loops over the
+    Implemented as im2col (one strided slice copy per kernel offset from a
+    zero-padded copy of x) + one matmul; the backward scatter loops over the
     kh*kw kernel offsets, each a strided slice add.
+
+    With a bias [F] this is one fused node standing for
+    add(conv2d(x, w), reshape(bias, (1, F, 1, 1))): the bias is added to the
+    same matmul entries, and its gradient is the same _unbroadcast sum.
     """
     if x.value.ndim != 4 or w.value.ndim != 4:
         raise DimensionError(f"conv2d needs 4-d input and kernel, got {x.shape} and {w.shape}")
@@ -331,15 +370,23 @@ def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0) -> Node:
         )
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
+    if bias is not None and bias.value.size != f:
+        raise DimensionError(f"conv2d: bias has {bias.value.size} entries for {f} filters")
 
     xp = x.value
     if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # [N, C, Ho, Wo, kh, kw]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
+        xp = np.zeros((n, c, hp, wp))
+        xp[:, :, padding : padding + h, padding : padding + wd] = x.value
+    cols = np.empty((n, ho, wo, c, kh, kw))
+    for i in range(kh):
+        for j in range(kw):
+            cols[..., i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride].transpose(0, 2, 3, 1)
+    cols = cols.reshape(n * ho * wo, c * kh * kw)
     wmat = w.value.reshape(f, c * kh * kw)
-    out = (cols @ wmat.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+    out = cols @ wmat.T
+    if bias is not None:
+        out += bias.value.reshape(f)
+    out = out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
 
     def rule(g: Array):
         gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
@@ -352,6 +399,79 @@ def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0) -> Node:
                 for j in range(kw):
                     dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[..., i, j]
             gx = dxp[:, :, padding : padding + h, padding : padding + wd] if padding else dxp
-        return gx, gw
+        if bias is None:
+            return gx, gw
+        gb = _unbroadcast(g, (1, f, 1, 1)).reshape(bias.shape) if bias.requires_grad else None
+        return gx, gw, gb
 
-    return Node(np.ascontiguousarray(out), (x, w), rule)
+    parents = (x, w) if bias is None else (x, w, bias)
+    return Node(np.ascontiguousarray(out), parents, rule)
+
+
+def _norm_shape(x: Node, gamma: Node, beta: Node, axes: tuple[int, ...]) -> tuple[int, ...]:
+    """Keepdims shape of the statistics; gamma and beta hold one entry per slot."""
+    kept = tuple(1 if i in axes else d for i, d in enumerate(x.shape))
+    size = int(np.prod(kept))
+    for name, p in (("gamma", gamma), ("beta", beta)):
+        if p.value.size != size:
+            raise DimensionError(f"batch_norm: {name} has {p.value.size} entries for statistics of shape {kept}")
+    return kept
+
+
+def batch_norm(x: Node, gamma: Node, beta: Node, axes: tuple[int, ...], eps: float) -> tuple[Node, Array, Array]:
+    """Train-mode batch normalization over `axes` as one node.
+
+    Returns (out, mean, var), the batch statistics in keepdims shape. Stands
+    for the composition
+        mu = reduce_mean(x), xc = x - mu, var = reduce_mean(xc * xc),
+        out = xc * (var + eps) ** -0.5 * gamma + beta
+    and replays its backward in graph order: the three contributions to xc
+    sum as (g1*inv + gsq*xc) + gsq*xc before the mean path adds its share.
+    """
+    kept = _norm_shape(x, gamma, beta, axes)
+    xv = x.value
+    count = int(np.prod([xv.shape[i] for i in axes]))
+    mu = xv.sum(axis=axes, keepdims=True) * (1.0 / count)
+    xc = xv - mu
+    var = (xc * xc).sum(axis=axes, keepdims=True) * (1.0 / count)
+    ve = var + eps
+    inv = ve ** -0.5
+    xn = xc * inv
+    gv = gamma.value.reshape(kept)
+
+    def rule(g: Array):
+        g1 = g * gv
+        gx = None
+        if x.requires_grad:
+            ginv = _unbroadcast(g1 * xc, kept)
+            gsq = ginv * -0.5 * ve ** -1.5 * (1.0 / count)
+            gxc = g1 * inv + gsq * xc + gsq * xc
+            gx = gxc + _unbroadcast(-gxc, kept) * (1.0 / count)
+        gg = _unbroadcast(g * xn, kept).reshape(gamma.shape) if gamma.requires_grad else None
+        gb = _unbroadcast(g, kept).reshape(beta.shape) if beta.requires_grad else None
+        return gx, gg, gb
+
+    out = xn * gv + beta.value.reshape(kept)
+    return Node(out, (x, gamma, beta), rule), mu, var
+
+
+def batch_norm_eval(x: Node, gamma: Node, beta: Node, axes: tuple[int, ...],
+                    mean: Array, var: Array, eps: float) -> Node:
+    """Eval-mode batch normalization by fixed statistics, as one node.
+
+    Stands for (x - mean) * (1 / sqrt(var + eps)) * gamma + beta, where the
+    running statistics mean and var are constants with one entry per slot;
+    gradients reach x, gamma and beta.
+    """
+    kept = _norm_shape(x, gamma, beta, axes)
+    inv = 1.0 / np.sqrt(var.reshape(kept) + eps)
+    xn = (x.value - mean.reshape(kept)) * inv
+    gv = gamma.value.reshape(kept)
+
+    def rule(g: Array):
+        gx = g * gv * inv if x.requires_grad else None
+        gg = _unbroadcast(g * xn, kept).reshape(gamma.shape) if gamma.requires_grad else None
+        gb = _unbroadcast(g, kept).reshape(beta.shape) if beta.requires_grad else None
+        return gx, gg, gb
+
+    return Node(xn * gv + beta.value.reshape(kept), (x, gamma, beta), rule)

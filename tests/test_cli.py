@@ -107,3 +107,11 @@ def test_default_output_dir_comes_from_config(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["train", "--config", str(path), "--quiet"]) == 0
     assert (tmp_path / "from_config").is_dir()
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
+def test_invalid_thread_count_exits_2(config_file, tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("QREG_THREADS", value)
+    code = main(["train", "--config", str(config_file), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "QREG_THREADS" in capsys.readouterr().err

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from gradcheck import fd_grad, rel_err
+from gradcheck import check_grads, conv_reference, fd_grad, rel_err, uniform
 
 from qreg import tensor as T
+from qreg.config import parse_config
 from qreg.errors import ContractError, DataError, DimensionError
+from qreg.experiments import Job, run_job
 from qreg.layers import (
     BN_EPS,
     BatchNorm,
@@ -21,6 +23,7 @@ from qreg.layers import (
     build_mlp_small,
     forward,
 )
+from qreg.regularization import weight_decay_loss
 
 
 def rng_():
@@ -224,3 +227,253 @@ def test_weight_nodes_excludes_norm_and_bias():
     weights = m.weight_nodes()
     assert len(weights) == 4  # two conv kernels, two dense matrices
     assert all(w.value.ndim >= 2 for w in weights)
+
+
+# ------------------------------------------- fused nodes vs composed graphs
+#
+# Dense, Conv2d and BatchNorm each run on one fused node. The compositions of
+# elementary T.* ops below are what those nodes replaced; they are the
+# reference, and the fused nodes must match them bit for bit: outputs,
+# running statistics and every gradient.
+
+
+def composed_dense(layer, x, weight):
+    return T.add(T.matmul(x, T.transpose(weight)), layer.bias)
+
+
+def composed_conv(layer, x, weight):
+    out = T.conv2d(x, weight, layer.stride, layer.padding)
+    return T.add(out, T.reshape(layer.bias, (1, layer.out_channels, 1, 1)))
+
+
+def composed_batchnorm(layer, x, train_mode):
+    pshape = (1, layer.dim) if x.value.ndim == 2 else (1, layer.dim, 1, 1)
+    axes = (0,) if x.value.ndim == 2 else (0, 2, 3)
+    gamma = T.reshape(layer.gamma, pshape)
+    beta = T.reshape(layer.beta, pshape)
+    if train_mode:
+        mu = T.reduce_mean(x, axis=axes, keepdims=True)
+        xc = T.sub(x, mu)
+        var = T.reduce_mean(T.mul(xc, xc), axis=axes, keepdims=True)
+        m = layer.momentum
+        layer.running_mean = m * layer.running_mean + (1.0 - m) * mu.value.reshape(layer.dim)
+        layer.running_var = m * layer.running_var + (1.0 - m) * var.value.reshape(layer.dim)
+        inv = T.power(T.add(var, T.constant(layer.eps)), -0.5)
+        return T.add(T.mul(T.mul(xc, inv), gamma), beta)
+    rm = T.constant(layer.running_mean.reshape(pshape))
+    inv = T.constant(1.0 / np.sqrt(layer.running_var.reshape(pshape) + layer.eps))
+    return T.add(T.mul(T.mul(T.sub(x, rm), inv), gamma), beta)
+
+
+def run_layer(layer, x, forward_fn, decay=0.0):
+    """Forward x through forward_fn, backprop a fixed weighting; values and grads.
+
+    With decay > 0 the loss adds weight decay on the layer's weight, which then
+    collects gradient from the data path and from both factors of W*W.
+    """
+    xn = T.parameter(x.copy())
+    out = forward_fn(layer, xn)
+    weights = np.random.default_rng(3).standard_normal(out.shape)
+    loss = T.reduce_sum(T.mul(out, T.constant(weights)))
+    if decay:
+        loss = T.add(loss, weight_decay_loss([layer.weight], decay))
+    T.backward(loss)
+    got = {"out": out.value, "x.grad": xn.grad}
+    for name, p in layer.named_parameters():
+        got[f"{name}.grad"] = p.grad
+    for name, buf in layer.named_buffers():
+        got[name] = buf
+    return got
+
+
+def assert_same_bits(fused, composed):
+    assert fused.keys() == composed.keys()
+    for key in fused:
+        np.testing.assert_array_equal(fused[key], composed[key], err_msg=key, strict=True)
+
+
+@pytest.mark.parametrize("decay", [0.0, 0.01])
+def test_dense_node_is_bitwise_the_composed_graph(decay):
+    x = np.random.default_rng(0).standard_normal((33, 20))
+    make = lambda: Dense(20, 7, np.random.default_rng(1))
+    fused = run_layer(make(), x, lambda l, xn: l.forward(xn, True, None), decay)
+    composed = run_layer(make(), x, lambda l, xn: composed_dense(l, xn, l.weight), decay)
+    assert_same_bits(fused, composed)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("decay", [0.0, 0.01])
+def test_conv_node_is_bitwise_the_composed_graph(stride, padding, decay):
+    x = np.random.default_rng(0).standard_normal((5, 3, 7, 6))
+    make = lambda: Conv2d(3, 4, 3, np.random.default_rng(1), stride=stride, padding=padding)
+    fused = run_layer(make(), x, lambda l, xn: l.forward(xn, True, None), decay)
+    composed = run_layer(make(), x, lambda l, xn: composed_conv(l, xn, l.weight), decay)
+    assert_same_bits(fused, composed)
+
+
+def legacy_im2col_conv(x, w, stride, padding):
+    """conv2d's former im2col (np.pad + sliding windows) and matmul."""
+    n, c, _, _ = x.shape
+    f, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = win.shape[2], win.shape[3]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
+    out = (cols @ w.reshape(f, c * kh * kw).T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(out)
+
+
+@pytest.mark.parametrize("stride,padding,shape", [(1, 1, (4, 1, 4, 8)), (2, 1, (4, 8, 4, 8)),
+                                                   (1, 0, (3, 2, 5, 5)), (2, 0, (3, 2, 6, 7))])
+def test_conv_im2col_is_bitwise_the_padded_window_view(stride, padding, shape):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((6, shape[1], 3, 3))
+    got = T.conv2d(T.constant(x), T.constant(w), stride, padding).value
+    np.testing.assert_array_equal(got, legacy_im2col_conv(x, w, stride, padding), strict=True)
+
+
+BN_CASES = [
+    (BatchNorm, 5, (9, 5)),
+    (BatchNorm, 3, (4, 3, 5, 6)),
+    (BatchNorm, 4, (6, 4, 1, 1)),  # spatial axes of size 1
+    (BatchNorm, 2, (5, 2, 3, 1)),
+    (BatchNorm, 1, (7, 1)),
+    (PerTaskNorm, 6, (11, 6)),
+]
+
+
+def _bn_layer(cls, dim, seed=2):
+    layer = cls(dim)
+    rng = np.random.default_rng(seed)
+    layer.gamma.value = rng.uniform(0.5, 1.5, size=dim)
+    layer.beta.value = rng.uniform(-0.5, 0.5, size=dim)
+    layer.running_mean = rng.standard_normal(dim)
+    layer.running_var = rng.uniform(0.5, 2.0, size=dim)
+    return layer
+
+
+@pytest.mark.parametrize("train_mode", [True, False])
+@pytest.mark.parametrize("cls,dim,shape", BN_CASES)
+def test_batchnorm_node_is_bitwise_the_composed_graph(cls, dim, shape, train_mode):
+    x = np.random.default_rng(0).standard_normal(shape) * 2.0 + 0.4
+    fused = run_layer(_bn_layer(cls, dim), x, lambda l, xn: l.forward(xn, train_mode, None))
+    composed = run_layer(_bn_layer(cls, dim), x, lambda l, xn: composed_batchnorm(l, xn, train_mode))
+    assert_same_bits(fused, composed)
+
+
+def test_batchnorm_node_without_input_gradient():
+    # a constant input: only gamma and beta need gradients
+    x = np.random.default_rng(0).standard_normal((8, 3, 2, 2))
+    results = []
+    for fn in (lambda l, xn: l.forward(xn, True, None), lambda l, xn: composed_batchnorm(l, xn, True)):
+        layer = _bn_layer(BatchNorm, 3)
+        out = fn(layer, T.constant(x))
+        T.backward(T.reduce_sum(T.mul(out, T.constant(np.cos(out.value)))))
+        results.append({"out": out.value, "gamma": layer.gamma.grad, "beta": layer.beta.grad})
+    assert_same_bits(*results)
+
+
+COMPOSED_LAYERS = {
+    (Dense, "forward_with"): composed_dense,
+    (Conv2d, "forward_with"): composed_conv,
+    (BatchNorm, "forward"): lambda self, x, train_mode, rng: composed_batchnorm(self, x, train_mode),
+}
+
+TRAIN_INI = """
+[experiment]
+seeds = 0
+
+[data]
+kind = {kind}
+num_classes = 4
+num_tasks = 3
+dim = 16
+train_size = 160
+test_size = 40
+
+[model]
+preset = {preset}
+
+[training]
+epochs = 2
+batch_size = 32
+
+[quantization]
+keep_batchnorm = true
+"""
+
+
+@pytest.mark.parametrize("preset,kind", [("cnn-small", "blobs"), ("mlp-small", "blobs"),
+                                         ("mlp-multitask", "multitask")])
+@pytest.mark.parametrize("mode", ["none", "weight_decay", "quantization"])
+def test_training_run_is_bitwise_the_composed_graph_run(preset, kind, mode, monkeypatch):
+    cfg = parse_config(TRAIN_INI.format(preset=preset, kind=kind))
+    job = Job(cfg=cfg, mode=mode, noise=0.2, seed=0)
+    fused = run_job(job)
+    for (cls, attr), fn in COMPOSED_LAYERS.items():
+        monkeypatch.setattr(cls, attr, fn)
+    composed = run_job(job)
+    assert not fused.failed and not composed.failed
+    assert fused.record.rows == composed.record.rows
+    assert fused.state.keys() == composed.state.keys()
+    for name in fused.state:
+        np.testing.assert_array_equal(fused.state[name], composed.state[name], err_msg=name, strict=True)
+
+
+def test_fused_nodes_match_finite_differences():
+    rng = np.random.default_rng(11)
+    check_grads(T.linear, lambda x, w, b: x @ w.T + b,
+                [uniform(rng, (6, 4)), uniform(rng, (3, 4)), uniform(rng, (3,))], rng)
+    for stride, padding in ((1, 0), (1, 1), (2, 1)):
+        check_grads(
+            lambda x, w, b: T.conv2d(x, w, stride, padding, bias=b),
+            lambda x, w, b: conv_reference(x, w, stride, padding) + b.reshape(1, -1, 1, 1),
+            [uniform(rng, (2, 2, 5, 5)), uniform(rng, (3, 2, 3, 3)), uniform(rng, (3,))],
+            rng,
+        )
+
+    def bn_np(x, g, b, axes):
+        kept = tuple(1 if i in axes else d for i, d in enumerate(x.shape))
+        mu = x.mean(axis=axes, keepdims=True)
+        var = x.var(axis=axes, keepdims=True)
+        return (x - mu) / np.sqrt(var + BN_EPS) * g.reshape(kept) + b.reshape(kept)
+
+    for shape, axes in (((7, 3), (0,)), ((4, 2, 3, 3), (0, 2, 3))):
+        args = [uniform(rng, shape), uniform(rng, (shape[1],), 0.5, 1.5), uniform(rng, (shape[1],))]
+        check_grads(lambda x, g, b: T.batch_norm(x, g, b, axes, BN_EPS)[0],
+                    lambda x, g, b: bn_np(x, g, b, axes), args, rng)
+        mean, var = uniform(rng, (shape[1],)), uniform(rng, (shape[1],), 0.5, 2.0)
+        kept = tuple(1 if i in axes else d for i, d in enumerate(shape))
+        check_grads(
+            lambda x, g, b: T.batch_norm_eval(x, g, b, axes, mean, var, BN_EPS),
+            lambda x, g, b: (x - mean.reshape(kept)) / np.sqrt(var.reshape(kept) + BN_EPS)
+            * g.reshape(kept) + b.reshape(kept),
+            args, rng,
+        )
+
+
+def test_fused_nodes_keep_the_shape_checks():
+    c = T.constant
+    with pytest.raises(DimensionError):
+        T.linear(c(np.zeros((2, 3))), c(np.zeros((4, 5))), c(np.zeros(4)))  # inner dims
+    with pytest.raises(DimensionError):
+        T.linear(c(np.zeros((2, 3, 1))), c(np.zeros((4, 3))), c(np.zeros(4)))  # 3-d input
+    with pytest.raises(DimensionError):
+        T.linear(c(np.zeros((2, 3))), c(np.zeros(3)), c(np.zeros(1)))  # 1-d weight
+    with pytest.raises(DimensionError):
+        T.linear(c(np.zeros((2, 3))), c(np.zeros((4, 3))), c(np.zeros(5)))  # bias width
+    with pytest.raises(DimensionError):
+        T.conv2d(c(np.zeros((1, 2, 4, 4))), c(np.zeros((3, 2, 2, 2))), bias=c(np.zeros(2)))
+    with pytest.raises(DimensionError):
+        T.batch_norm(c(np.zeros((4, 3))), c(np.ones(2)), c(np.zeros(3)), (0,), BN_EPS)
+    with pytest.raises(DimensionError):
+        T.batch_norm_eval(c(np.zeros((4, 3))), c(np.ones(3)), c(np.zeros(2)), (0,),
+                          np.zeros(3), np.ones(3), BN_EPS)
+    with pytest.raises(DimensionError):
+        Dense(3, 2, rng_()).forward(c(np.zeros((4, 5))), False, None)
+    with pytest.raises(DimensionError):
+        BatchNorm(3).forward(c(np.zeros((4, 3, 2))), True, None)
+    with pytest.raises(DimensionError):
+        BatchNorm(3).forward(c(np.zeros((4, 2))), False, None)
