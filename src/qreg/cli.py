@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = replace(cfg, seeds=seeds)
         out_dir = args.out if args.out is not None else cfg.output_dir
         if args.command == "train":
-            if args.noise is not None and not 0.0 <= args.noise < 1.0:
+            if not 0.0 <= args.noise < 1.0:
                 raise ConfigError(f"noise must lie in [0, 1), got {args.noise}",
                                   key="experiment.noise_levels")
             return cmd_train(cfg, out_dir, args.quiet, mode=args.mode, noise=args.noise)

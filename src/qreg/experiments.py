@@ -130,13 +130,8 @@ def run_job(job: Job) -> JobResult:
     return JobResult(job=job, record=result.record, state=result.model.state_dict(), error=None)
 
 
-def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
-    """Run every job and return results sorted by job coordinates.
-
-    QREG_THREADS > 1 distributes jobs over that many worker processes; the
-    default is serial. A value that is not an integer >= 1 is a ConfigError.
-    Failures do not stop the batch.
-    """
+def worker_count() -> int:
+    """Worker processes from QREG_THREADS (default 1); ConfigError unless an integer >= 1."""
     raw = os.environ.get("QREG_THREADS", "1")
     try:
         workers = int(raw)
@@ -144,6 +139,22 @@ def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
         workers = 0
     if workers < 1:
         raise ConfigError(f"QREG_THREADS must be an integer >= 1, got '{raw}'")
+    return workers
+
+
+def _make_out_dir(out_dir: str) -> None:
+    # settle QREG_THREADS first, so a bad value leaves no empty directory behind
+    worker_count()
+    os.makedirs(out_dir, exist_ok=True)
+
+
+def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
+    """Run every job and return results sorted by job coordinates.
+
+    worker_count() > 1 distributes jobs over that many worker processes; the
+    default is serial. Failures do not stop the batch.
+    """
+    workers = worker_count()
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_job, jobs))
@@ -182,7 +193,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, quiet: bool,
     mode = mode if mode is not None else cfg.modes[0]
     if mode not in MODES:
         raise ConfigError(f"unknown mode '{mode}'", key="experiment.modes")
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     jobs = [Job(cfg=cfg, mode=mode, noise=noise, seed=seed) for seed in cfg.seeds]
     results = run_jobs(jobs, quiet)
     for r in results:
@@ -206,7 +217,7 @@ def cmd_noise_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
     if "none" not in cfg.modes:
         raise ConfigError("noise sweep needs the 'none' baseline in the mode list",
                           key="experiment.modes")
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     jobs = [
         Job(cfg=cfg, mode=mode, noise=s, seed=seed)
         for mode in cfg.modes for s in cfg.noise_levels for seed in cfg.seeds
@@ -294,7 +305,7 @@ def cmd_stability_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int
     variants = _stability_variants(cfg)
     if not variants:
         raise ConfigError("every stability grid is empty; nothing to sweep", key="stability")
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     jobs = [
         Job(cfg=cfg, mode=mode, noise=s, seed=seed, extra=label, **overrides)
         for mode, label, overrides in variants
@@ -339,7 +350,7 @@ def cmd_multitask(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
     """
     if cfg.data_kind != "multitask":
         raise ConfigError("the multitask command needs kind = multitask", key="data.kind")
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     noise = max(cfg.noise_levels)
     modes = list(MULTITASK_MODES)
     jobs = [

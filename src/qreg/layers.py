@@ -314,7 +314,14 @@ class Model:
 
 
 def forward(model: Model, x, rng=None) -> Node:
-    """Run the model on a batch, honoring model.train_mode. Returns logits."""
+    """Run the model on a batch, honoring model.train_mode. Returns logits.
+
+    In eval mode no graph is kept: each layer's output is rewrapped as a
+    constant before the next layer runs, so a layer's intermediates (im2col
+    columns, normalization temporaries, backward closures) are freed one
+    layer later, and the returned logits have no parents. Eval-mode outputs
+    cannot be backpropagated.
+    """
     node = x if isinstance(x, Node) else T.constant(x)
     if node.value.ndim < 2 or node.shape[1:] != model.input_shape:
         raise DimensionError(
@@ -322,6 +329,8 @@ def forward(model: Model, x, rng=None) -> Node:
         )
     for layer in model.layers:
         node = layer.forward(node, model.train_mode, rng)
+        if not model.train_mode:
+            node = T.constant(node.value)
     return node
 
 

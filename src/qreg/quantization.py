@@ -67,13 +67,6 @@ class QuantState:
         self.calibrated: bool = False
         self.weight_scale: np.ndarray | None = None
 
-    def snapshot(self) -> dict:
-        return {"act_scale": self.act_scale, "calibrated": self.calibrated}
-
-    def restore(self, snap: dict) -> None:
-        self.act_scale = float(snap["act_scale"])
-        self.calibrated = bool(snap["calibrated"])
-
 
 def grid_levels(bits: int) -> int:
     """Number of representable values, 2^bits - 1 (symmetric grid)."""

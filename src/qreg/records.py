@@ -70,13 +70,6 @@ class RunRecord:
     def final_test_acc(self) -> float:
         return self.final_row().test_acc
 
-    @property
-    def final_f1_avg(self) -> float:
-        row = self.final_row()
-        if row.f1_avg is None:
-            raise ContractError("single-task record has no F1 columns")
-        return row.f1_avg
-
     def header(self) -> list[str]:
         cols = ["epoch", "train_loss", "val_loss", "train_acc", "val_acc", "test_acc"]
         if self.num_tasks:

@@ -2,14 +2,17 @@
 
 A Node wraps a numpy array plus the bookkeeping needed to run backprop:
 its parents in the computation graph, a backward rule mapping the upstream
-gradient to per-parent gradients, and a lazily allocated gradient buffer.
+gradient to per-parent gradients, and the gradient backward() stores.
 Graphs are built by the free functions below (matmul, conv2d, relu, ...);
 backward() walks the graph once in reverse topological order and accumulates
 gradients into every reachable node that requires them.
 
 Values are float64 throughout. Arrays handed to a Node are treated as
 immutable from then on; optimizers rebind `node.value` to a fresh array
-rather than writing in place.
+rather than writing in place. Gradients follow the same contract: backward
+stores each node's first gradient without copying it (it may be the very
+array a backward rule returned, shared with other nodes or read-only), adds
+later contributions into a new array, and no rule writes into a gradient.
 
 The layers run on three fused nodes: linear (dense affine map), conv2d with
 its bias, and batch_norm / batch_norm_eval. Each replaces a composition of
@@ -21,6 +24,7 @@ fused op's docstring names the composition it stands for.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,7 +71,7 @@ class Node:
 
     @property
     def grad(self) -> Array:
-        """Accumulated gradient; zeros if backward never reached this node."""
+        """Accumulated gradient, read-only by contract; zeros if backward never reached this node."""
         if self._grad is None:
             return np.zeros_like(self.value)
         return self._grad
@@ -76,10 +80,11 @@ class Node:
         self._grad = None
 
     def _accumulate(self, g: Array) -> None:
-        # first contribution is copied so the buffer never aliases caller arrays
+        # gradients are immutable like values: the first one is stored as is
+        # (it may alias another node's gradient) and later ones rebind
         assert g.shape == self.value.shape, f"gradient shape {g.shape} vs value {self.value.shape}"
         if self._grad is None:
-            self._grad = np.array(g, dtype=np.float64)
+            self._grad = g
         else:
             self._grad = self._grad + g
 
@@ -343,13 +348,31 @@ def straight_through(a: Node, forward: Callable[[Array], Array]) -> Node:
     return Node(out, (a,), lambda g: (g,))
 
 
+@functools.lru_cache(maxsize=64)
+def _im2col_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int) -> Array:
+    """Flat source positions in one padded [c, hp, wp] sample, ordered (ho, wo, c, kh, kw).
+
+    Gathering them lays out each output position's receptive field as one
+    row of the im2col matrix. The index does not depend on the batch size.
+    """
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    rows = (np.arange(ho) * stride)[:, None, None, None, None] + np.arange(kh)[None, None, None, :, None]
+    cols = (np.arange(wo) * stride)[None, :, None, None, None] + np.arange(kw)[None, None, None, None, :]
+    chan = np.arange(c)[None, None, :, None, None]
+    idx = ((chan * hp + rows) * wp + cols).reshape(-1)
+    idx.setflags(write=False)  # shared by every caller of the cache
+    return idx
+
+
 def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0, bias: Node | None = None) -> Node:
     """2-d cross-correlation of x [N,C,H,W] with filters w [F,C,kh,kw].
 
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1 per axis.
-    Implemented as im2col (one strided slice copy per kernel offset from a
-    zero-padded copy of x) + one matmul; the backward scatter loops over the
-    kh*kw kernel offsets, each a strided slice add.
+    Implemented as im2col (one gather from a zero-padded copy of x, by an
+    index cached per geometry) + one matmul; the backward scatter loops over
+    the kh*kw kernel offsets, each a strided slice add, which keeps the order
+    in which overlapping windows sum into the input gradient.
 
     With a bias [F] this is one fused node standing for
     add(conv2d(x, w), reshape(bias, (1, F, 1, 1))): the bias is added to the
@@ -377,11 +400,8 @@ def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0, bias: Node | Non
     if padding:
         xp = np.zeros((n, c, hp, wp))
         xp[:, :, padding : padding + h, padding : padding + wd] = x.value
-    cols = np.empty((n, ho, wo, c, kh, kw))
-    for i in range(kh):
-        for j in range(kw):
-            cols[..., i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride].transpose(0, 2, 3, 1)
-    cols = cols.reshape(n * ho * wo, c * kh * kw)
+    idx = _im2col_index(c, hp, wp, kh, kw, stride)
+    cols = np.take(xp.reshape(n, c * hp * wp), idx, axis=1).reshape(n * ho * wo, c * kh * kw)
     wmat = w.value.reshape(f, c * kh * kw)
     out = cols @ wmat.T
     if bias is not None:

@@ -58,7 +58,15 @@ EVAL_BATCH = 512
 
 
 class Adam(object):
-    """Adam with bias correction; moments start at zero."""
+    """Adam with bias correction; moments start at zero.
+
+    The update is elementwise (Kingma & Ba, arXiv:1412.6980), so each step
+    runs it once over every parameter concatenated into one vector, which is
+    bit for bit the per-parameter update. The moments m and v are flat
+    vectors in parameter order. Values are gathered afresh each step and
+    each `p.value` is rebound to its reshaped slice of the result, so a
+    value rebound between steps (load_state_dict) is the one updated.
+    """
 
     def __init__(self, params: list[tuple[str, Node]], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -74,25 +82,31 @@ class Adam(object):
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for _, p in self.params]
-        self.v = [np.zeros_like(p.value) for _, p in self.params]
+        self.bounds = np.cumsum([0] + [p.value.size for _, p in self.params])
+        self.m = np.zeros(self.bounds[-1])
+        self.v = np.zeros(self.bounds[-1])
 
     def step(self) -> None:
         """Apply one update from the gradients currently on the parameters."""
         self.t += 1
+        if not self.params:
+            return
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for i, (name, p) in enumerate(self.params):
-            g = p._grad
-            if g is None:
-                g = np.zeros_like(p.value)
-            elif not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient for parameter '{name}'")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / c1
-            v_hat = self.v[i] / c2
-            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g = np.concatenate([np.zeros(p.value.size) if p._grad is None else p._grad.reshape(-1)
+                            for _, p in self.params])
+        if not np.all(np.isfinite(g)):
+            for name, p in self.params:
+                if p._grad is not None and not np.all(np.isfinite(p._grad)):
+                    raise TrainingError(f"non-finite gradient for parameter '{name}'")
+        values = np.concatenate([p.value.reshape(-1) for _, p in self.params])
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * (g * g)
+        m_hat = self.m / c1
+        v_hat = self.v / c2
+        new = values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for (_, p), lo, hi in zip(self.params, self.bounds[:-1], self.bounds[1:]):
+            p.value = new[lo:hi].reshape(p.value.shape)
 
 
 @dataclass

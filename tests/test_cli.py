@@ -115,3 +115,30 @@ def test_invalid_thread_count_exits_2(config_file, tmp_path, capsys, monkeypatch
     code = main(["train", "--config", str(config_file), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "QREG_THREADS" in capsys.readouterr().err
+
+
+MULTITASK_CONFIG = """
+[experiment]
+seeds = 0
+noise_levels = 0.3
+
+[data]
+kind = multitask
+num_tasks = 3
+dim = 8
+train_size = 200
+test_size = 50
+
+[model]
+preset = mlp-multitask
+"""
+
+
+@pytest.mark.parametrize("command", ["train", "noise-sweep", "stability-sweep", "multitask"])
+def test_invalid_thread_count_creates_no_output_dir(config_file, tmp_path, monkeypatch, command):
+    if command == "multitask":
+        config_file.write_text(MULTITASK_CONFIG)
+    monkeypatch.setenv("QREG_THREADS", "0")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config_file), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()

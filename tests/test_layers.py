@@ -191,6 +191,33 @@ def test_forward_rejects_wrong_input_shape():
         forward(m, np.zeros((2, 11)))
 
 
+def test_eval_forward_keeps_no_graph():
+    rng = rng_()
+    model = build_cnn_small((1, 6, 6), 4, rng)
+    out = forward(model, rng.standard_normal((3, 1, 6, 6)))
+    assert out.parents == () and out._backward_rule is None
+
+
+def conv_mlp(rng):
+    """cnn-small without BatchNorm: no layer behaves differently in eval mode."""
+    layers = [Conv2d(1, 4, 3, rng, padding=1), ReLU(), Conv2d(4, 6, 3, rng, stride=2, padding=1),
+              ReLU(), Flatten(), Dense(6 * 3 * 3, 5, rng)]
+    return Model(layers, "softmax", 5, (1, 6, 6))
+
+
+@pytest.mark.parametrize("build,shape", [(lambda rng: build_mlp_small(12, 5, rng), (7, 12)),
+                                         (conv_mlp, (7, 1, 6, 6))])
+def test_eval_forward_is_bitwise_the_train_graph(build, shape):
+    rng = rng_()
+    model = build(rng)
+    x = rng.standard_normal(shape)
+    model.train_mode = True
+    graph = forward(model, x)
+    assert graph.parents
+    model.train_mode = False
+    np.testing.assert_array_equal(forward(model, x).value, graph.value, strict=True)
+
+
 def test_state_dict_round_trip_and_errors():
     rng = rng_()
     m = build_cnn_small((1, 6, 6), 4, rng)
@@ -332,6 +359,46 @@ def test_conv_im2col_is_bitwise_the_padded_window_view(stride, padding, shape):
     w = rng.standard_normal((6, shape[1], 3, 3))
     got = T.conv2d(T.constant(x), T.constant(w), stride, padding).value
     np.testing.assert_array_equal(got, legacy_im2col_conv(x, w, stride, padding), strict=True)
+
+
+def slice_loop_cols(x, kh, kw, stride, padding):
+    """conv2d's former im2col: one strided slice copy per kernel offset."""
+    n, c, h, wd = x.shape
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    xp = np.zeros((n, c, hp, wp))
+    xp[:, :, padding : padding + h, padding : padding + wd] = x
+    cols = np.empty((n, ho, wo, c, kh, kw))
+    for i in range(kh):
+        for j in range(kw):
+            cols[..., i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride].transpose(0, 2, 3, 1)
+    return cols.reshape(n * ho * wo, c * kh * kw), (ho, wo)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("c", [1, 3])
+def test_conv_im2col_gather_is_bitwise_the_slice_loop(stride, padding, c):
+    rng = np.random.default_rng(6)
+    f, kh, kw = 4, 3, 2
+    w = rng.standard_normal((f, c, kh, kw))
+    hp, wp = 6 + 2 * padding, 7 + 2 * padding
+    index = T._im2col_index(c, hp, wp, kh, kw, stride)
+    for n in (5, 2):  # both batch sizes use the one cached index
+        assert T._im2col_index(c, hp, wp, kh, kw, stride) is index
+        x = rng.standard_normal((n, c, 6, 7))
+        cols, (ho, wo) = slice_loop_cols(x, kh, kw, stride, padding)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        np.testing.assert_array_equal(np.take(xp.reshape(n, -1), index, axis=1).reshape(cols.shape),
+                                      cols, strict=True)
+        wn = T.parameter(w)
+        out = T.conv2d(T.constant(x), wn, stride, padding)
+        expected = (cols @ w.reshape(f, -1).T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+        np.testing.assert_array_equal(out.value, np.ascontiguousarray(expected), strict=True)
+        g = rng.standard_normal(out.shape)
+        T.backward(T.reduce_sum(T.mul(out, T.constant(g))))
+        gmat = g.transpose(0, 2, 3, 1).reshape(-1, f)
+        np.testing.assert_array_equal(wn.grad, (gmat.T @ cols).reshape(w.shape), strict=True)
 
 
 BN_CASES = [

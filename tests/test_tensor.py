@@ -136,6 +136,27 @@ def test_grad_accumulates_across_backward_calls():
     np.testing.assert_array_equal(x.grad, [0.0])
 
 
+def test_backward_twice_never_mutates_a_stored_gradient():
+    # add and straight_through hand the upstream gradient on as is, so after
+    # one pass x, st and z may hold one shared, uncopied gradient array
+    rng = np.random.default_rng(9)
+    x = T.parameter(rng.uniform(-2, 2, size=(3, 4)))
+    b = T.parameter(rng.uniform(-2, 2, size=(3, 4)))
+    st = T.straight_through(x, np.round)
+    z = T.add(st, b)
+    weights = rng.standard_normal((3, 4))
+    loss = T.reduce_sum(T.mul(z, T.constant(weights)))
+    T.backward(loss)
+    nodes = (x, b, st, z)
+    first = [n.grad for n in nodes]
+    saved = [g.copy() for g in first]
+    T.backward(loss)
+    for node, g, before in zip(nodes, first, saved):
+        np.testing.assert_array_equal(g, before)  # the first pass's array is intact
+        np.testing.assert_array_equal(node.grad, 2.0 * weights)
+        assert node.grad is not g
+
+
 def test_straight_through_passes_gradient_bitwise():
     rng = np.random.default_rng(7)
     x = T.parameter(rng.uniform(-2, 2, size=(6, 4)))

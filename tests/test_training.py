@@ -5,7 +5,8 @@ import qreg.training
 from qreg import tensor as T
 from qreg.data import split, synth_blobs, synth_multitask
 from qreg.errors import ContractError, TrainingError
-from qreg.layers import Dense, Model, ReLU, build_mlp_multitask
+from qreg.layers import Dense, Model, ReLU, build_cnn_small, build_mlp_multitask, build_mlp_small, forward
+from qreg.losses import binary_ce_loss, cross_entropy_loss, one_hot
 from qreg.pruning import PruneSpec
 from qreg.quantization import QuantConfig, QuantizedLayer
 from qreg.records import RunRecord
@@ -89,6 +90,82 @@ def test_adam_nonfinite_gradient_names_the_parameter():
     p._grad = np.array([np.nan])
     with pytest.raises(TrainingError, match="layer0.weight"):
         opt.step()
+
+
+class PerParameterAdam:
+    """Adam's former update, one parameter at a time: the bitwise reference."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.beta1, self.beta2, self.eps = list(params), lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.value) for _, p in self.params]
+        self.v = [np.zeros_like(p.value) for _, p in self.params]
+
+    def step(self):
+        self.t += 1
+        c1 = 1.0 - self.beta1**self.t
+        c2 = 1.0 - self.beta2**self.t
+        for i, (name, p) in enumerate(self.params):
+            g = p._grad
+            if g is None:
+                g = np.zeros_like(p.value)
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            m_hat = self.m[i] / c1
+            v_hat = self.v[i] / c2
+            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+ADAM_PRESETS = {
+    "cnn-small": (lambda rng: build_cnn_small((1, 4, 8), 5, rng), (1, 4, 8)),
+    "mlp-small": (lambda rng: build_mlp_small(32, 5, rng), (32,)),
+    "mlp-multitask": (lambda rng: build_mlp_multitask(24, 5, rng), (24,)),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(ADAM_PRESETS))
+def test_flat_adam_is_bitwise_the_per_parameter_update(preset):
+    build, shape = ADAM_PRESETS[preset]
+    models = [build(np.random.default_rng(3)) for _ in range(2)]
+    flat = Adam(models[0].named_parameters(), lr=1e-2)
+    ref = PerParameterAdam(models[1].named_parameters(), lr=1e-2)
+    data = np.random.default_rng(4)
+    saw_strided = False
+    for step in range(50):
+        x = data.standard_normal((16,) + shape)
+        labels = data.integers(0, 2 if preset == "mlp-multitask" else 5, (16, 5))
+        for model, opt in zip(models, (flat, ref)):
+            model.train_mode = True
+            for _, p in opt.params:
+                p.zero_grad()
+            logits = forward(model, x)
+            if preset == "mlp-multitask":
+                loss = binary_ce_loss(logits, labels.astype(np.float64))
+            else:
+                loss = cross_entropy_loss(logits, one_hot(labels[:, 0], 5))
+            T.backward(loss)
+            if step % 5 == 0:
+                opt.params[-1][1].zero_grad()  # a parameter without gradient counts as zero
+            # a dense weight's gradient is linear's (x.T @ g).T, stored uncopied
+            saw_strided |= any(not p._grad.flags.c_contiguous for _, p in opt.params if p._grad is not None)
+            opt.step()
+        for (name, a), (_, b) in zip(flat.params, ref.params):
+            np.testing.assert_array_equal(a.value, b.value, err_msg=name, strict=True)
+    assert saw_strided
+    np.testing.assert_array_equal(flat.m, np.concatenate([m.reshape(-1) for m in ref.m]), strict=True)
+    np.testing.assert_array_equal(flat.v, np.concatenate([v.reshape(-1) for v in ref.v]), strict=True)
+
+
+def test_flat_adam_names_the_parameter_with_a_nonfinite_gradient():
+    model = build_mlp_small(4, 3, np.random.default_rng(0))
+    params = model.named_parameters()
+    opt = Adam(params, lr=0.1)
+    for i, (_, p) in enumerate(params):
+        p._grad = np.full(p.value.shape, np.inf if i == 3 else 1.0)
+    before = [p.value for _, p in params]
+    with pytest.raises(TrainingError, match=f"'{params[3][0]}'"):
+        opt.step()
+    assert all(p.value is v for (_, p), v in zip(params, before))  # nothing was updated
 
 
 def test_adam_validates_hyperparameters():
