@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .pruning import PruneSpec
 from .quantization import QuantConfig
 from .records import RunRecord, fmt
 from .regularization import RegularizerConfig
-from .training import MODES, train
+from .training import MODES, TrainSettings, replay_early_stopping, train
 
 # the multitask protocol early-stops every mode, so the standalone mode is moot
 MULTITASK_MODES = tuple(m for m in MODES if m != "early_stopping")
@@ -80,7 +80,11 @@ def build_model(cfg: ExperimentConfig, seed: int, dropout_p: float) -> Model:
 
 @dataclass(frozen=True)
 class Job:
-    """One training run; sort key and process-pool work unit."""
+    """One training run; sort key and process-pool work unit.
+
+    twin, when set, is the finished `none` result that an early_stopping
+    job is replayed from instead of being trained (see run_jobs).
+    """
 
     cfg: ExperimentConfig
     mode: str
@@ -91,6 +95,7 @@ class Job:
     quant: QuantConfig | None = None
     prune: PruneSpec | None = None
     reg: RegularizerConfig | None = None
+    twin: JobResult | None = field(default=None, compare=False, repr=False)
 
     @property
     def key(self) -> tuple:
@@ -101,7 +106,7 @@ class Job:
 class JobResult:
     job: Job
     record: RunRecord
-    state: dict | None  # final model parameters; None when training failed
+    state: dict | None  # final model parameters; None when training failed or the result was replayed
     error: str | None = None
 
     @property
@@ -111,15 +116,16 @@ class JobResult:
 
 def run_job(job: Job) -> JobResult:
     cfg = job.cfg
-    reg = job.reg if job.reg is not None else cfg.reg
-    dropout_p = reg.dropout_p if job.mode == "dropout" else 0.0
-    train_ds, val_ds, test_ds = build_datasets(cfg, job.seed, job.noise)
-    model = build_model(cfg, job.seed, dropout_p)
     settings = cfg.train_settings(
         job.mode, job.seed, job.noise,
         always_early_stop=job.always_early_stop, extra=job.extra,
         quant=job.quant, prune=job.prune, reg=job.reg,
     )
+    if job.twin is not None:
+        return _replay(job, settings)
+    dropout_p = settings.reg.dropout_p if job.mode == "dropout" else 0.0
+    train_ds, val_ds, test_ds = build_datasets(cfg, job.seed, job.noise)
+    model = build_model(cfg, job.seed, dropout_p)
     try:
         result = train(model, train_ds, val_ds, test_ds, settings)
     except TrainingError as e:
@@ -128,6 +134,27 @@ def run_job(job: Job) -> JobResult:
         )
         return JobResult(job=job, record=record, state=None, error=str(e))
     return JobResult(job=job, record=result.record, state=result.model.state_dict(), error=None)
+
+
+def _replay(job: Job, settings: TrainSettings) -> JobResult:
+    """The early_stopping result, replayed from the rows of the finished `none` twin."""
+    twin = job.twin
+    kept, best_epoch, stopped = replay_early_stopping(twin.record.rows, settings.reg)
+    record = RunRecord(fingerprint=settings.fingerprint, seed=job.seed,
+                       num_tasks=twin.record.num_tasks, rows=twin.record.rows[:kept])
+    job = replace(job, twin=None)
+    if twin.failed and not stopped:
+        return JobResult(job=job, record=record, state=None, error=twin.error)
+    record.best_epoch = best_epoch
+    return JobResult(job=job, record=record, state=None)
+
+
+def _twin(job: Job, jobs: list[Job]) -> int | None:
+    """Position in `jobs` of the `none` job an early_stopping job can be replayed from."""
+    if job.mode != "early_stopping":
+        return None
+    none = replace(job, mode="none")
+    return next((i for i, other in enumerate(jobs) if other == none), None)
 
 
 def worker_count() -> int:
@@ -152,15 +179,23 @@ def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
     """Run every job and return results sorted by job coordinates.
 
     worker_count() > 1 distributes jobs over that many worker processes; the
-    default is serial. Failures do not stop the batch.
+    default is serial. Failures do not stop the batch. An early_stopping job
+    whose `none` twin (the same job in every other field) is in the batch is
+    not trained: once the trained jobs are done, run_job replays it from the
+    twin's result in this process, with the bytes training would give.
     """
     workers = worker_count()
-    if workers > 1 and len(jobs) > 1:
+    twins = [_twin(job, jobs) for job in jobs]
+    trained = [i for i, t in enumerate(twins) if t is None]
+    if workers > 1 and len(trained) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_job, jobs))
+            done = dict(zip(trained, pool.map(run_job, [jobs[i] for i in trained])))
     else:
-        results = [run_job(job) for job in jobs]
-    results.sort(key=lambda r: r.job.key)
+        done = {i: run_job(jobs[i]) for i in trained}
+    for i, t in enumerate(twins):
+        if t is not None:
+            done[i] = run_job(replace(jobs[i], twin=done[t]))
+    results = sorted((done[i] for i in range(len(jobs))), key=lambda r: r.job.key)
     if not quiet:
         for r in results:
             label = f"{r.job.mode}{' ' + r.job.extra if r.job.extra else ''} s={r.job.noise:g} seed={r.job.seed}"

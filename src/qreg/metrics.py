@@ -62,18 +62,14 @@ class RunSummary:
     num_runs: int
     final_mean: dict[str, float]
     final_std: dict[str, float]
-    per_epoch_mean: dict[str, np.ndarray]
-    per_epoch_std: dict[str, np.ndarray]
-    epochs: np.ndarray  # epoch indices; entry i aggregates records that reached epoch i+1
 
 
 def aggregate_runs(records: list[RunRecord]) -> RunSummary:
-    """Mean and sample standard deviation across same-config runs.
+    """Mean and sample standard deviation of each final metric across same-config runs.
 
     All records must share a fingerprint (identical resolved config apart
-    from the seed). Early-stopped records may have different lengths:
-    per-epoch statistics at epoch e aggregate the records that reached e,
-    while final statistics always cover every record.
+    from the seed). Early-stopped records may have different lengths; each
+    contributes its final row (the best epoch when one is set).
     """
     if not records:
         raise ContractError("aggregate_runs needs at least one record")
@@ -91,21 +87,4 @@ def aggregate_runs(records: list[RunRecord]) -> RunSummary:
     for name, vals in finals.items():
         final_mean[name] = float(vals.mean())
         final_std[name] = _std(vals)
-
-    max_epochs = max(len(r.rows) for r in records)
-    per_epoch_mean = {name: np.empty(max_epochs) for name in metric_names}
-    per_epoch_std = {name: np.empty(max_epochs) for name in metric_names}
-    for e in range(max_epochs):
-        reached = [r.rows[e].metrics() for r in records if len(r.rows) > e]
-        for name in metric_names:
-            vals = np.array([m[name] for m in reached])
-            per_epoch_mean[name][e] = vals.mean()
-            per_epoch_std[name][e] = _std(vals)
-    return RunSummary(
-        num_runs=len(records),
-        final_mean=final_mean,
-        final_std=final_std,
-        per_epoch_mean=per_epoch_mean,
-        per_epoch_std=per_epoch_std,
-        epochs=np.arange(1, max_epochs + 1),
-    )
+    return RunSummary(num_runs=len(records), final_mean=final_mean, final_std=final_std)

@@ -68,11 +68,6 @@ class QuantState:
         self.weight_scale: np.ndarray | None = None
 
 
-def grid_levels(bits: int) -> int:
-    """Number of representable values, 2^bits - 1 (symmetric grid)."""
-    return 2 * (2 ** (bits - 1) - 1) + 1
-
-
 def _check_bits(bits: int) -> int:
     if not isinstance(bits, (int, np.integer)) or not 2 <= bits <= 16:
         raise ContractError(f"bit width must be an integer in [2, 16], got {bits!r}")

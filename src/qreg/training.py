@@ -16,6 +16,8 @@ is the whole point of the harness:
                      moments refer to removed coordinates)
     quantization     fake-quantized forward with straight-through gradients
 
+An early_stopping run's rows are a prefix of the `none` run's rows at the
+same seed, so replay_early_stopping derives it from them without training.
 always_early_stop adds the early-stopping protocol on top of any mode (the
 multi-task table protocol). When pruning fires while early stopping is
 active, the stopper and its best-parameter snapshot reset at the pruning
@@ -144,7 +146,6 @@ class TrainSettings:
 class TrainResult:
     model: Model
     record: RunRecord
-    stopped_early: bool
 
 
 def evaluate(model: Model, ds) -> tuple[float, float, np.ndarray | None, float | None]:
@@ -163,6 +164,11 @@ def evaluate(model: Model, ds) -> tuple[float, float, np.ndarray | None, float |
         return loss, binary_accuracy(logits, ds.labels), f1, f1_avg
     loss = float(cross_entropy_loss(node, one_hot(ds.labels, ds.num_classes)).value)
     return loss, accuracy(logits, ds.labels), None, None
+
+
+def stop_metric(row: EpochRow, metric: str) -> float:
+    """The value of `row` that an EarlyStopper on `metric` monitors."""
+    return row.val_loss if metric == "val_loss" else row.val_acc
 
 
 def _targets(ds, settings: TrainSettings) -> np.ndarray:
@@ -211,7 +217,6 @@ def train(model: Model, train_ds, val_ds, test_ds, settings: TrainSettings) -> T
     )
     targets = _targets(train_ds, settings)
     decayed = model.weight_nodes() if settings.mode == "weight_decay" else None
-    stopped_early = False
 
     for epoch in range(1, settings.epochs + 1):
         if prune_at is not None and epoch == prune_at + 1:
@@ -271,12 +276,10 @@ def train(model: Model, train_ds, val_ds, test_ds, settings: TrainSettings) -> T
         record.rows.append(row)
 
         if stopper is not None:
-            metric = val_loss if stopper.metric == "val_loss" else val_acc
-            stop = stopper.step(metric)
+            stop = stopper.step(stop_metric(row, stopper.metric))
             if stopper.best_epoch == stopper.epoch:
                 best_state = model.state_dict()
             if stop:
-                stopped_early = True
                 break
 
     if stopper is not None and best_state is not None:
@@ -284,4 +287,21 @@ def train(model: Model, train_ds, val_ds, test_ds, settings: TrainSettings) -> T
         record.best_epoch = stopper_offset + stopper.best_epoch
     else:
         record.best_epoch = len(record.rows)
-    return TrainResult(model=model, record=record, stopped_early=stopped_early)
+    return TrainResult(model=model, record=record)
+
+
+def replay_early_stopping(rows: list[EpochRow], reg: RegularizerConfig) -> tuple[int, int, bool]:
+    """What the early_stopping run does, read off the rows of its `none` twin.
+
+    The two modes differ only in the stopper: data, initial weights, shuffle
+    and dropout streams, targets and loss are the same, so the early_stopping
+    run's rows are a prefix of the `none` run's rows, bit for bit. Returns
+    (rows it keeps, its best_epoch, whether it stopped within `rows`). When
+    it does not stop, it ran every one of `rows`, and it also shares any
+    failure that ended the `none` run after them.
+    """
+    stopper = EarlyStopper(reg.early_stop_patience, reg.early_stop_metric)
+    for row in rows:
+        if stopper.step(stop_metric(row, stopper.metric)):
+            return stopper.epoch, stopper.best_epoch, True
+    return len(rows), stopper.best_epoch, False

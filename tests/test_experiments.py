@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from qreg.experiments import (
     run_job,
     run_jobs,
 )
+from qreg.training import MODES
 
 SMALL = """
 [experiment]
@@ -264,3 +267,145 @@ def test_parallel_workers_match_serial_output(cfg, tmp_path, monkeypatch):
     assert cmd_noise_sweep(cfg, str(parallel), quiet=True) == 0
     for name in ("sweep.csv", "sweep_mean.csv"):
         assert (serial / name).read_text() == (parallel / name).read_text()
+
+
+# ------------------------------------------------- early stopping replayed
+
+REPLAY = """
+[experiment]
+seeds = 0,1
+modes = none,early_stopping,weight_decay
+noise_levels = 0.0,0.4
+
+[data]
+num_classes = 3
+dim = 8
+train_size = 240
+test_size = 60
+separation = 2.0
+
+[training]
+epochs = 6
+batch_size = 32
+learning_rate = 0.01
+
+[regularization]
+early_stop_patience = {patience}
+early_stop_metric = {metric}
+"""
+
+
+def replay_cfg(patience=1, metric="val_loss"):
+    return parse_config(REPLAY.format(patience=patience, metric=metric))
+
+
+def sweep_jobs(cfg, modes=None):
+    return [Job(cfg=cfg, mode=mode, noise=s, seed=seed)
+            for mode in (modes or cfg.modes) for s in cfg.noise_levels for seed in cfg.seeds]
+
+
+def assert_same_result(replayed, trained):
+    assert replayed.job == trained.job
+    assert replayed.error == trained.error
+    rec, ref = replayed.record, trained.record
+    assert (rec.fingerprint, rec.seed, rec.num_tasks, rec.best_epoch) == \
+        (ref.fingerprint, ref.seed, ref.num_tasks, ref.best_epoch)
+    assert len(rec.rows) == len(ref.rows)
+    for a, b in zip(rec.rows, ref.rows):
+        assert vars(a) == vars(b)  # every EpochRow field, compared exactly
+
+
+@pytest.mark.parametrize("metric", ["val_loss", "val_accuracy"])
+@pytest.mark.parametrize("patience", [0, 1, 2, 6])
+def test_replayed_early_stopping_equals_training_it(patience, metric):
+    cfg = replay_cfg(patience, metric)
+    results = run_jobs(sweep_jobs(cfg), quiet=True)
+    replayed = [r for r in results if r.job.mode == "early_stopping"]
+    assert len(replayed) == 4
+    for r in replayed:
+        assert r.state is None and r.job.twin is None
+        trained = run_job(r.job)
+        assert trained.state is not None
+        assert_same_result(r, trained)
+    lengths = [len(r.record.rows) for r in replayed]
+    if patience >= cfg.epochs:
+        assert lengths == [cfg.epochs] * 4  # patience outlasts the run
+    if patience == 0 and metric == "val_loss":
+        assert min(lengths) < cfg.epochs  # the replay does cut runs short
+
+
+def test_replayed_sweep_output_is_identical_for_worker_counts(tmp_path, monkeypatch, capsys):
+    cfg = replay_cfg(patience=1)
+    monkeypatch.delenv("QREG_THREADS", raising=False)
+    assert cmd_noise_sweep(cfg, str(tmp_path / "serial"), quiet=False) == 0
+    serial_out = capsys.readouterr().out
+    monkeypatch.setenv("QREG_THREADS", "2")
+    assert cmd_noise_sweep(cfg, str(tmp_path / "pool"), quiet=False) == 0
+    assert capsys.readouterr().out == serial_out
+    assert "early_stopping s=0.4 seed=1: epochs=" in serial_out
+    for name in ("sweep.csv", "sweep_mean.csv"):
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
+
+
+def test_replay_follows_a_twin_that_fails(monkeypatch):
+    real = qreg.experiments.train
+    fail_epoch = None
+
+    def diverging(model, train_ds, val_ds, test_ds, settings):
+        # every run that reaches fail_epoch dies there, as a run whose
+        # trajectory diverges at that epoch would
+        result = real(model, train_ds, val_ds, test_ds, settings)
+        if len(result.record.rows) >= fail_epoch:
+            rows = result.record.rows[:fail_epoch - 1]
+            raise TrainingError(f"loss diverged in epoch {fail_epoch}",
+                                record=replace(result.record, rows=rows, best_epoch=0))
+        return result
+
+    monkeypatch.setattr(qreg.experiments, "train", diverging)
+    outcomes = set()
+    for patience, fail_epoch in [(0, 1), (0, 4), (1, 3), (1, 6), (2, 4)]:
+        cfg = replay_cfg(patience)
+        results = run_jobs(sweep_jobs(cfg, ["none", "early_stopping"]), quiet=True)
+        twins = {(r.job.noise, r.job.seed): r for r in results if r.job.mode == "none"}
+        assert all(t.failed for t in twins.values())
+        for r in results:
+            if r.job.mode != "early_stopping":
+                continue
+            twin = twins[(r.job.noise, r.job.seed)]
+            if r.failed:
+                assert r.error == twin.error
+                assert [vars(row) for row in r.record.rows] == [vars(row) for row in twin.record.rows]
+            else:
+                assert len(r.record.rows) < fail_epoch
+            assert_same_result(r, run_job(r.job))
+            outcomes.add(r.failed)
+    assert outcomes == {True, False}
+
+
+def test_run_jobs_trains_every_job_but_the_replayed_one(monkeypatch):
+    cfg = replay_cfg(patience=1)
+    calls = {"run_job": 0, "train": 0}
+    real_run_job, real_train = qreg.experiments.run_job, qreg.experiments.train
+
+    def counted_run_job(job):
+        calls["run_job"] += 1
+        return real_run_job(job)
+
+    def counted_train(*args):
+        calls["train"] += 1
+        return real_train(*args)
+
+    monkeypatch.setattr(qreg.experiments, "run_job", counted_run_job)
+    monkeypatch.setattr(qreg.experiments, "train", counted_train)
+    monkeypatch.delenv("QREG_THREADS", raising=False)
+    jobs = [Job(cfg=cfg, mode=mode, noise=0.4, seed=0) for mode in MODES]
+    results = run_jobs(jobs, quiet=True)
+    assert calls == {"run_job": 7, "train": 6}
+    assert [r.job.mode for r in results] == sorted(MODES)
+    assert [r.state is None for r in results] == [m == "early_stopping" for m in sorted(MODES)]
+
+
+def test_early_stopping_without_its_twin_is_trained():
+    alone = run_jobs([Job(cfg=replay_cfg(), mode="early_stopping", noise=0.0, seed=0),
+                      Job(cfg=replay_cfg(), mode="none", noise=0.4, seed=0)], quiet=True)
+    assert all(r.state is not None for r in alone)
