@@ -15,7 +15,6 @@ from .errors import (
     DataError,
     DimensionError,
     DomainError,
-    ParseError,
     QregError,
     TrainingError,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "Flatten",
     "Model",
     "NoiseSpec",
-    "ParseError",
     "PerTaskNorm",
     "PruneSpec",
     "QregError",

@@ -1,7 +1,7 @@
 """Binary container for named float64 arrays.
 
-Layout: a 5-byte magic ("QREG1" for model checkpoints, "QDAT1" for dataset
-caches), then one record per array until end of file. Each record is:
+Layout: a 5-byte magic ("QREG1" for model checkpoints), then one record per
+array until end of file. Each record is:
 
     u64 LE   byte length of the name
     bytes    name, utf-8
@@ -22,7 +22,6 @@ import numpy as np
 from .errors import DataError
 
 MAGIC_MODEL = b"QREG1"
-MAGIC_DATA = b"QDAT1"
 
 
 def write_container(path, arrays: dict[str, np.ndarray], magic: bytes = MAGIC_MODEL) -> None:
@@ -60,14 +59,20 @@ def read_container(path, magic: bytes = MAGIC_MODEL) -> dict[str, np.ndarray]:
 
     while pos < len(blob):
         (name_len,) = struct.unpack("<Q", take(8))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: array name is not utf-8 at byte {pos - name_len}") from None
         (rank,) = struct.unpack("<Q", take(8))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank)) if rank else ()
         count = 1
         for d in dims:
             count *= d
         data = np.frombuffer(take(8 * count), dtype="<f8").astype(np.float64)
-        out[name] = data.reshape(dims)
+        try:
+            out[name] = data.reshape(dims)
+        except ValueError as e:  # an empty array whose dims numpy cannot represent
+            raise DataError(f"{path}: array '{name}' has dims {dims}: {e}") from None
     return out
 
 

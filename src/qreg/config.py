@@ -4,12 +4,14 @@ Every key has a default, so the minimal valid config is an empty file. Unknown
 sections or keys are errors rather than warnings; a typo that silently falls
 back to a default would invalidate a whole sweep.
 
-The fingerprint identifies a result row's provenance: it hashes the resolved
-configuration together with the job coordinates (mode, noise level, and any
-swept hyperparameter override), and deliberately leaves out everything that
-must not affect the numbers being compared across runs of the same job:
-seeds, output paths, the experiment name, and the lists of jobs to sweep.
-Records that share a fingerprint are aggregable; records that do not are not.
+A job trains one resolved config; a swept variant is its own config, built
+with dataclasses.replace. The fingerprint identifies a result row's
+provenance: it hashes the config it is called on together with the job
+coordinates (mode, noise level, and whether the multitask protocol
+early-stops every mode), and deliberately leaves out everything that must not
+affect the numbers being compared across runs of the same job: seeds, output
+paths, the experiment name, and the lists of jobs to sweep. Records that
+share a fingerprint are aggregable; records that do not are not.
 """
 
 from __future__ import annotations
@@ -197,7 +199,7 @@ class ExperimentConfig:
     stability_prune_ratios: tuple[float, ...] = (0.5, 0.75, 0.9)
     stability_dropout_rates: tuple[float, ...] = (0.05, 0.1, 0.3)
 
-    def fingerprint(self, mode: str, noise: float, extra: str = "") -> str:
+    def fingerprint(self, mode: str, noise: float, always_early_stop: bool = False) -> str:
         """12-hex-digit job identity; see the module docstring for scope."""
         payload = {
             "data": [
@@ -219,21 +221,16 @@ class ExperimentConfig:
                 self.reg.early_stop_patience, self.reg.early_stop_metric,
             ],
             "prune": [self.prune.ratio, self.prune.warmup_epochs, self.prune.criterion],
-            "job": [mode, float(noise), extra],
+            # the third slot names the protocol; empty for the plain one, so
+            # plain jobs keep the fingerprints (and file names) they always had
+            "job": [mode, float(noise), "always_early_stop" if always_early_stop else ""],
         }
         digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
         return digest[:12]
 
     def train_settings(self, mode: str, seed: int, noise: float = 0.0, *,
-                       always_early_stop: bool = False, extra: str = "",
-                       quant: QuantConfig | None = None,
-                       prune: PruneSpec | None = None,
-                       reg: RegularizerConfig | None = None) -> TrainSettings:
-        """TrainSettings for one job; keyword overrides serve swept variants.
-
-        An override changes the fingerprint only through `extra`, which the
-        caller sets to a stable description of the override (e.g. "bits=6").
-        """
+                       always_early_stop: bool = False) -> TrainSettings:
+        """TrainSettings for one job of this config."""
         return TrainSettings(
             mode=mode,
             epochs=self.epochs,
@@ -242,12 +239,12 @@ class ExperimentConfig:
             beta1=self.beta1,
             beta2=self.beta2,
             adam_eps=self.adam_eps,
-            reg=reg if reg is not None else self.reg,
-            quant=(quant or self.quant) if mode == "quantization" else None,
-            prune=(prune or self.prune) if mode == "pruning" else None,
+            reg=self.reg,
+            quant=self.quant if mode == "quantization" else None,
+            prune=self.prune if mode == "pruning" else None,
             always_early_stop=always_early_stop,
             seed=seed,
-            fingerprint=self.fingerprint(mode, noise, extra),
+            fingerprint=self.fingerprint(mode, noise, always_early_stop),
         )
 
 

@@ -1,4 +1,4 @@
-"""Datasets, synthetic generators, label-noise injection, CSV and cache I/O.
+"""Datasets, synthetic generators, label-noise injection.
 
 A Dataset is features plus labels: features [N, D] or [N, C, H, W] float64;
 labels either [N] integer class ids (single-task, with num_classes set) or
@@ -13,13 +13,11 @@ example. Noise is injected after splitting and only on the training split.
 
 from __future__ import annotations
 
-import csv as _csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checkpoint import MAGIC_DATA, read_container, write_container
-from .errors import ContractError, DataError, ParseError
+from .errors import ContractError, DataError
 
 
 @dataclass
@@ -179,118 +177,3 @@ def synth_multitask(num_tasks: int, n: int, dim: int, seed) -> Dataset:
     )
     labels = (scores > thresholds[None, :]).astype(np.int64)
     return Dataset(features, labels, num_tasks=num_tasks, name="multitask")
-
-
-def save_csv(ds: Dataset, path) -> None:
-    """Write the dataset in the text format load_csv reads."""
-    d = int(np.prod(ds.features.shape[1:]))
-    flat = ds.features.reshape(ds.n, d)
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        fcols = [f"f{i}" for i in range(d)]
-        if ds.is_multitask:
-            writer.writerow([f"y{t}" for t in range(ds.num_tasks)] + fcols)
-            for row_labels, row in zip(ds.labels, flat):
-                writer.writerow([int(v) for v in row_labels] + [repr(float(v)) for v in row])
-        else:
-            writer.writerow(["label"] + fcols)
-            for label, row in zip(ds.labels, flat):
-                writer.writerow([int(label)] + [repr(float(v)) for v in row])
-
-
-def load_csv(path, num_classes: int = 0) -> Dataset:
-    """Read a dataset written as CSV text.
-
-    Single-task header: label,f0,f1,...  Multi-task header: y0,...,y{T-1},f0,...
-    Labels must be integer literals; multi-task indicators must be 0 or 1.
-    num_classes bounds single-task labels; 0 infers it as max label + 1.
-    Malformed input raises ParseError carrying the 1-based line number.
-    """
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        header = [h.strip() for h in header]
-        if header[0] == "label":
-            tasks = 0
-            feat_names = header[1:]
-        elif header[0] == "y0":
-            tasks = 1
-            while tasks < len(header) and header[tasks] == f"y{tasks}":
-                tasks += 1
-            feat_names = header[tasks:]
-        else:
-            raise ParseError(f"header must start with 'label' or 'y0', got '{header[0]}'", line=1)
-        if feat_names != [f"f{i}" for i in range(len(feat_names))]:
-            raise ParseError("feature columns must be named f0, f1, ... in order", line=1)
-        if not feat_names:
-            raise ParseError("no feature columns", line=1)
-
-        label_width = max(tasks, 1)
-        labels_rows: list[list[int]] = []
-        feature_rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != label_width + len(feat_names):
-                raise ParseError(
-                    f"expected {label_width + len(feat_names)} fields, got {len(row)}", line=lineno
-                )
-            try:
-                lab = [int(tok) for tok in row[:label_width]]
-            except ValueError as e:
-                raise ParseError(f"bad label: {e}", line=lineno) from None
-            try:
-                feats = [float(tok) for tok in row[label_width:]]
-            except ValueError as e:
-                raise ParseError(f"bad feature value: {e}", line=lineno) from None
-            if tasks:
-                if any(v not in (0, 1) for v in lab):
-                    raise ParseError(f"task indicators must be 0 or 1, got {lab}", line=lineno)
-            else:
-                if lab[0] < 0:
-                    raise ParseError(f"label must be >= 0, got {lab[0]}", line=lineno)
-                if num_classes and lab[0] >= num_classes:
-                    raise ParseError(
-                        f"label {lab[0]} out of range for {num_classes} classes", line=lineno
-                    )
-            labels_rows.append(lab)
-            feature_rows.append(feats)
-    if not feature_rows:
-        raise ParseError("no data rows", line=2)
-    features = np.array(feature_rows)
-    if tasks:
-        return Dataset(features, np.array(labels_rows), num_tasks=tasks, name="csv")
-    labels = np.array([r[0] for r in labels_rows])
-    c = num_classes if num_classes else int(labels.max()) + 1
-    return Dataset(features, labels, num_classes=c, name="csv")
-
-
-def save_cache(ds: Dataset, path) -> None:
-    """Binary dataset cache; round-trips bit-exactly, unlike CSV re-parsing."""
-    write_container(
-        path,
-        {
-            "features": ds.features,
-            "labels": ds.labels.astype(np.float64),
-            "num_classes": np.asarray(float(ds.num_classes)),
-            "num_tasks": np.asarray(float(ds.num_tasks)),
-            "name": np.frombuffer(ds.name.encode("utf-8"), dtype=np.uint8).astype(np.float64),
-        },
-        MAGIC_DATA,
-    )
-
-
-def load_cache(path) -> Dataset:
-    raw = read_container(path, MAGIC_DATA)
-    for key in ("features", "labels", "num_classes", "num_tasks", "name"):
-        if key not in raw:
-            raise DataError(f"dataset cache is missing field '{key}'")
-    name = bytes(raw["name"].astype(np.uint8)).decode("utf-8")
-    return Dataset(
-        raw["features"],
-        raw["labels"].astype(np.int64),
-        num_classes=int(raw["num_classes"]),
-        num_tasks=int(raw["num_tasks"]),
-        name=name,
-    )

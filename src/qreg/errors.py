@@ -25,16 +25,6 @@ class DataError(QregError):
     """A dataset or serialized payload is malformed."""
 
 
-class ParseError(DataError):
-    """Text input could not be parsed; carries a 1-based line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
 class ConfigError(QregError):
     """An experiment config is invalid; names the offending key."""
 

@@ -1,7 +1,8 @@
 """Experiment orchestration: dataset assembly, job running, sweep commands.
 
-A job is one training run pinned by (mode, noise level, seed, optional
-hyperparameter override). Sweeps expand a config into a job list, run it
+A job is one training run pinned by its resolved config, mode, noise level
+and seed; a swept hyperparameter setting is a config of its own, built with
+dataclasses.replace. Sweeps expand a config into a job list, run it
 serially or across processes (QREG_THREADS), and reduce the records into
 small summary CSVs. Job results are sorted by their coordinates before any
 file is written, so the byte content of every output is independent of
@@ -31,10 +32,7 @@ from .data import Dataset, NoiseSpec, inject_noise, split, split_count, synth_bl
 from .errors import ConfigError, TrainingError
 from .layers import MODEL_PRESETS, Model
 from .metrics import aggregate_runs
-from .pruning import PruneSpec
-from .quantization import QuantConfig
 from .records import RunRecord, fmt
-from .regularization import RegularizerConfig
 from .training import MODES, TrainSettings, replay_early_stopping, train
 
 # the multitask protocol early-stops every mode, so the standalone mode is moot
@@ -80,10 +78,12 @@ def build_model(cfg: ExperimentConfig, seed: int, dropout_p: float) -> Model:
 
 @dataclass(frozen=True)
 class Job:
-    """One training run; sort key and process-pool work unit.
+    """One training run of a resolved config; sort key and process-pool work unit.
 
-    twin, when set, is the finished `none` result that an early_stopping
-    job is replayed from instead of being trained (see run_jobs).
+    cfg alone says what is trained; extra is only the display label of a
+    swept setting (the `hyper` column and the progress line). twin, when
+    set, is the finished `none` result that an early_stopping job is
+    replayed from instead of being trained (see run_jobs).
     """
 
     cfg: ExperimentConfig
@@ -92,9 +92,6 @@ class Job:
     seed: int
     extra: str = ""
     always_early_stop: bool = False
-    quant: QuantConfig | None = None
-    prune: PruneSpec | None = None
-    reg: RegularizerConfig | None = None
     twin: JobResult | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -116,11 +113,7 @@ class JobResult:
 
 def run_job(job: Job) -> JobResult:
     cfg = job.cfg
-    settings = cfg.train_settings(
-        job.mode, job.seed, job.noise,
-        always_early_stop=job.always_early_stop, extra=job.extra,
-        quant=job.quant, prune=job.prune, reg=job.reg,
-    )
+    settings = cfg.train_settings(job.mode, job.seed, job.noise, always_early_stop=job.always_early_stop)
     if job.twin is not None:
         return _replay(job, settings)
     dropout_p = settings.reg.dropout_p if job.mode == "dropout" else 0.0
@@ -291,43 +284,31 @@ def cmd_noise_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
     return 0
 
 
-def _stability_variants(cfg: ExperimentConfig):
-    """(mode, hyper label, job overrides) for every swept hyperparameter.
+def _stability_variants(cfg: ExperimentConfig) -> list[tuple[str, str, ExperimentConfig]]:
+    """(mode, hyper label, resolved config) for every swept hyperparameter.
 
-    The reference setting of each mode is included even when the grid in the
-    config leaves it out, so gain_vs_reference is always well defined.
+    The reference of each mode is the variant whose config is `cfg` itself.
+    It is appended when the grid in the config leaves it out, so
+    gain_vs_reference is always well defined.
     """
-    variants: list[tuple[str, str, dict]] = []
-    if cfg.stability_quant_bits:
-        ref_bits = f"w{cfg.quant.weight_bits}a{cfg.quant.act_bits}"
-        bit_grid = [(f"w{b}a{b}", replace(cfg.quant, weight_bits=b, act_bits=b)) for b in cfg.stability_quant_bits]
-        if ref_bits not in [label for label, _ in bit_grid]:
-            bit_grid.append((ref_bits, cfg.quant))
-        for label, quant in bit_grid:
-            variants.append(("quantization", label, {"quant": quant}))
-
-    if cfg.stability_prune_ratios:
-        ratio_grid = list(cfg.stability_prune_ratios)
-        if cfg.prune.ratio not in ratio_grid:
-            ratio_grid.append(cfg.prune.ratio)
-        for ratio in ratio_grid:
-            variants.append(("pruning", f"{ratio:g}", {"prune": replace(cfg.prune, ratio=ratio)}))
-
-    if cfg.stability_dropout_rates:
-        rate_grid = list(cfg.stability_dropout_rates)
-        if cfg.reg.dropout_p not in rate_grid:
-            rate_grid.append(cfg.reg.dropout_p)
-        for rate in rate_grid:
-            variants.append(("dropout", f"{rate:g}", {"reg": replace(cfg.reg, dropout_p=rate)}))
+    quant, prune, reg = cfg.quant, cfg.prune, cfg.reg
+    grids = [
+        ("quantization", f"w{quant.weight_bits}a{quant.act_bits}",
+         [(f"w{b}a{b}", replace(cfg, quant=replace(quant, weight_bits=b, act_bits=b)))
+          for b in cfg.stability_quant_bits]),
+        ("pruning", f"{prune.ratio:g}",
+         [(f"{x:g}", replace(cfg, prune=replace(prune, ratio=x))) for x in cfg.stability_prune_ratios]),
+        ("dropout", f"{reg.dropout_p:g}",
+         [(f"{x:g}", replace(cfg, reg=replace(reg, dropout_p=x))) for x in cfg.stability_dropout_rates]),
+    ]
+    variants = []
+    for mode, ref_label, grid in grids:
+        if not grid:
+            continue  # an empty grid disables that mode's sweep
+        if cfg not in [variant for _, variant in grid]:
+            grid.append((ref_label, cfg))
+        variants += [(mode, label, variant) for label, variant in grid]
     return variants
-
-
-def stability_reference(cfg: ExperimentConfig, mode: str) -> str:
-    if mode == "quantization":
-        return f"w{cfg.quant.weight_bits}a{cfg.quant.act_bits}"
-    if mode == "pruning":
-        return f"{cfg.prune.ratio:g}"
-    return f"{cfg.reg.dropout_p:g}"
 
 
 def cmd_stability_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
@@ -342,25 +323,22 @@ def cmd_stability_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int
         raise ConfigError("every stability grid is empty; nothing to sweep", key="stability")
     _make_out_dir(out_dir)
     jobs = [
-        Job(cfg=cfg, mode=mode, noise=s, seed=seed, extra=label, **overrides)
-        for mode, label, overrides in variants
+        Job(cfg=variant, mode=mode, noise=s, seed=seed, extra=label)
+        for mode, label, variant in variants
         for s in cfg.noise_levels for seed in cfg.seeds
     ]
     results = run_jobs(jobs, quiet)
     ok = [r for r in results if not r.failed]
     failures = [r for r in results if r.failed]
 
-    grouped: dict[tuple[str, str, float], list[JobResult]] = {}
-    mode_of: dict[str, str] = {}
+    grouped: dict[tuple[str, ExperimentConfig, float], list[JobResult]] = {}
     for r in ok:
-        grouped.setdefault((r.job.mode, r.job.extra, r.job.noise), []).append(r)
-        mode_of[r.job.extra] = r.job.mode
+        grouped.setdefault((r.job.mode, r.job.cfg, r.job.noise), []).append(r)
     rows = []
-    for mode, label, _ in variants:
-        ref_label = stability_reference(cfg, mode)
+    for mode, label, variant in variants:
         for s in cfg.noise_levels:
-            bucket = grouped.get((mode, label, s))
-            ref = grouped.get((mode, ref_label, s))
+            bucket = grouped.get((mode, variant, s))
+            ref = grouped.get((mode, cfg, s))
             if not bucket or not ref:
                 continue
             gain = _mean_acc(bucket)[0] - _mean_acc(ref)[0]

@@ -161,36 +161,12 @@ class BatchNorm(Layer):
             super().set_buffer(name, value)
 
 
-class TaskNormView:
-    """Read/write window onto one task's slot of a PerTaskNorm layer."""
-
-    def __init__(self, owner: "PerTaskNorm", index: int):
-        self._owner = owner
-        self._index = index
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self._owner.gamma.value[self._index : self._index + 1]
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self._owner.beta.value[self._index : self._index + 1]
-
-    @property
-    def running_mean(self) -> np.ndarray:
-        return self._owner.running_mean[self._index : self._index + 1]
-
-    @property
-    def running_var(self) -> np.ndarray:
-        return self._owner.running_var[self._index : self._index + 1]
-
-
 class PerTaskNorm(BatchNorm):
     """One independent 1-feature batch norm per task, vectorized.
 
     Over [N, T] input this is exactly T separate batch norms: each column has
     its own gamma, beta, and running statistics, with no interaction between
-    columns. `task_norms` exposes the per-task slots.
+    columns.
     """
 
     kind = "pertasknorm"
@@ -203,10 +179,6 @@ class PerTaskNorm(BatchNorm):
         if x.value.ndim != 2:
             raise DimensionError(f"per-task norm expects [N, T] input, got {x.shape}")
         return super().forward(x, train_mode, rng)
-
-    @property
-    def task_norms(self) -> list[TaskNormView]:
-        return [TaskNormView(self, t) for t in range(self.num_tasks)]
 
 
 class ReLU(Layer):

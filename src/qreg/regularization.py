@@ -11,7 +11,7 @@ from .errors import ContractError
 from .tensor import Node
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegularizerConfig:
     weight_decay: float = 0.01
     dropout_p: float = 0.1

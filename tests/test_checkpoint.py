@@ -4,9 +4,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qreg.checkpoint import (
-    MAGIC_DATA,
     MAGIC_MODEL,
     load_checkpoint,
     read_container,
@@ -45,8 +46,8 @@ def test_container_round_trip_preserves_bits_and_order():
         "nasty": np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324]),
         "empty_name_ok": np.zeros((2,)),
     }
-    write_container(path, arrays, MAGIC_DATA)
-    back = read_container(path, MAGIC_DATA)
+    write_container(path, arrays, MAGIC_MODEL)
+    back = read_container(path, MAGIC_MODEL)
     assert list(back) == list(arrays)
     for k in arrays:
         a, b = np.asarray(arrays[k]), back[k]
@@ -66,6 +67,30 @@ def test_container_wrong_magic_and_truncation():
         fh.write(blob[:-5])
     with pytest.raises(DataError):
         read_container(path, MAGIC_MODEL)
+    with open(path, "wb") as fh:  # a 2-byte name that is not utf-8
+        fh.write(MAGIC_MODEL + struct.pack("<Q", 2) + b"\xff\xfe" + struct.pack("<Qd", 0, 1.0))
+    with pytest.raises(DataError, match="utf-8"):
+        read_container(path, MAGIC_MODEL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cut=st.integers(0, 150),  # the container below is 144 bytes long
+    edits=st.lists(st.tuples(st.integers(0, 143), st.integers(0, 255)), max_size=6),
+)
+def test_container_truncated_or_mutated_raises_only_data_error(tmp_path_factory, cut, edits):
+    path = tmp_path_factory.mktemp("fuzz") / "container.qreg"
+    write_container(path, {"w": np.arange(6.0).reshape(2, 3), "s": np.asarray(1.5), "e": np.zeros((0, 2))})
+    blob = bytearray(path.read_bytes())
+    for pos, byte in edits:
+        blob[pos] = byte
+    bad = path.with_name("bad.qreg")
+    bad.write_bytes(bytes(blob[:cut]))
+    try:
+        back = read_container(bad, MAGIC_MODEL)
+    except DataError:
+        return
+    assert all(isinstance(a, np.ndarray) for a in back.values())
 
 
 def test_model_checkpoint_round_trip_restores_predictions():

@@ -1,7 +1,10 @@
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from qreg.config import ExperimentConfig, load_config, parse_config
 from qreg.errors import ConfigError
+from qreg.experiments import cmd_train
 
 FULL = """
 [experiment]
@@ -161,7 +164,7 @@ def test_fingerprint_separates_jobs_and_configs():
         cfg.fingerprint("none", 0.0),
         cfg.fingerprint("none", 0.2),
         cfg.fingerprint("quantization", 0.0),
-        cfg.fingerprint("quantization", 0.0, extra="bits=6"),
+        replace(cfg, quant=replace(cfg.quant, weight_bits=8)).fingerprint("quantization", 0.0),
         parse_config(FULL.replace("epochs = 8", "epochs = 9")).fingerprint("none", 0.0),
     }
     assert len(prints) == 5
@@ -184,6 +187,27 @@ def test_train_settings_wires_mode_specific_pieces():
     assert plain.quant is None and plain.prune is None
     assert plain.epochs == 8 and plain.batch_size == 16
 
+    # a swept setting is a resolved config of its own, fingerprinted by its fields
+    variant = replace(cfg, quant=replace(cfg.quant, weight_bits=8))
+    swept = variant.train_settings("quantization", seed=3, noise=0.3)
+    assert swept.quant is variant.quant and swept.quant.weight_bits == 8
+    assert swept.fingerprint == variant.fingerprint("quantization", 0.3) != quant.fingerprint
+
+
+def test_multitask_protocol_enters_the_fingerprint():
+    cfg = parse_config(FULL)
+    plain = cfg.train_settings("quantization", seed=1, noise=0.3)
+    protocol = cfg.train_settings("quantization", seed=1, noise=0.3, always_early_stop=True)
+    assert protocol.always_early_stop and not plain.always_early_stop
+    assert protocol.fingerprint != plain.fingerprint
+
+
+def test_parsed_config_is_hashable_and_frozen_throughout():
+    cfg = parse_config(FULL)
+    assert hash(cfg) == hash(parse_config(FULL))
+    with pytest.raises(FrozenInstanceError):
+        cfg.reg.weight_decay = 0.5
+
 
 def test_load_config_reads_files_and_reports_missing(tmp_path):
     path = tmp_path / "exp.ini"
@@ -191,3 +215,14 @@ def test_load_config_reads_files_and_reports_missing(tmp_path):
     assert load_config(path) == parse_config(FULL)
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.ini")
+
+
+@pytest.mark.parametrize("mode, noise, fp", [
+    ("none", 0.0, "6de6938eee22"),
+    ("quantization", 0.3, "70a34b710d65"),
+])
+def test_cmd_train_file_names_are_pinned(tmp_path, mode, noise, fp):
+    # a changed fingerprint payload would silently orphan earlier result files
+    cfg = replace(parse_config(FULL), seeds=(1,))  # seeds stay out of the fingerprint
+    assert cmd_train(cfg, str(tmp_path), quiet=True, mode=mode, noise=noise) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"checkpoint_{fp}_1.qreg", f"run_{fp}_1.csv"]

@@ -1,4 +1,4 @@
-"""Dataset construction, noise protocol, splits, generators, CSV round trips."""
+"""Dataset construction, noise protocol, splits, generators."""
 
 import numpy as np
 import pytest
@@ -7,26 +7,17 @@ from qreg.data import (
     Dataset,
     NoiseSpec,
     inject_noise,
-    load_cache,
-    load_csv,
-    save_cache,
-    save_csv,
     split,
     split_count,
     synth_blobs,
     synth_multitask,
 )
-from qreg.errors import ContractError, DataError, ParseError
+from qreg.errors import ContractError, DataError
 
 
 def toy_single(n=10, c=4, d=3, seed=0):
     rng = np.random.default_rng(seed)
     return Dataset(rng.standard_normal((n, d)), rng.integers(0, c, n), num_classes=c)
-
-
-def toy_multi(n=10, t=3, d=3, seed=0):
-    rng = np.random.default_rng(seed)
-    return Dataset(rng.standard_normal((n, d)), rng.integers(0, 2, (n, t)), num_tasks=t)
 
 
 def lstsq_probe_accuracy(train, test):
@@ -198,80 +189,6 @@ def test_multitask_positive_rate_matches_prior_within_two_points():
     rng.standard_normal((12, 32))
     priors = rng.uniform(0.15, 0.5, size=12)  # replay the generator's draws
     np.testing.assert_allclose(ds.labels.mean(axis=0), priors, atol=0.02)
-
-
-def test_csv_round_trip_single_task():
-    ds = toy_single(n=12, c=3, d=4, seed=6)
-    path = "/tmp/qreg_test_single.csv"
-    save_csv(ds, path)
-    back = load_csv(path, num_classes=3)
-    np.testing.assert_array_equal(back.features, ds.features)  # repr round-trips exactly
-    np.testing.assert_array_equal(back.labels, ds.labels)
-    assert back.num_classes == 3
-
-
-def test_csv_round_trip_multitask():
-    ds = toy_multi(n=9, t=3, d=2, seed=7)
-    path = "/tmp/qreg_test_multi.csv"
-    save_csv(ds, path)
-    back = load_csv(path)
-    assert back.num_tasks == 3
-    np.testing.assert_array_equal(back.features, ds.features)
-    np.testing.assert_array_equal(back.labels, ds.labels)
-
-
-def test_csv_infers_num_classes():
-    path = "/tmp/qreg_test_infer.csv"
-    with open(path, "w") as fh:
-        fh.write("label,f0\n0,1.5\n2,-0.5\n")
-    assert load_csv(path).num_classes == 3
-
-
-def test_csv_parse_errors_carry_line_numbers():
-    path = "/tmp/qreg_test_bad.csv"
-    cases = [
-        ("junk,f0\n0,1.0\n", 1),
-        ("label,feat0\n0,1.0\n", 1),
-        ("label,f0\n0,1.0,9.9\n", 2),
-        ("label,f0\n0,1.0\nx,2.0\n", 3),
-        ("label,f0\n0,abc\n", 2),
-        ("label,f0\n-1,1.0\n", 2),
-        ("y0,y1,f0\n0,2,1.0\n", 2),
-        ("label,f0\n", 2),
-    ]
-    for text, lineno in cases:
-        with open(path, "w") as fh:
-            fh.write(text)
-        with pytest.raises(ParseError) as exc:
-            load_csv(path)
-        assert exc.value.line == lineno, text
-    with open(path, "w") as fh:
-        fh.write("label,f0\n7,1.0\n")
-    with pytest.raises(ParseError):
-        load_csv(path, num_classes=3)
-
-
-def test_cache_round_trip_bit_exact():
-    ds = toy_single(n=20, c=5, d=6, seed=8)
-    # adversarial payload: denormals, huge values, negative zero
-    ds.features[0, 0] = 5e-324
-    ds.features[1, 1] = -0.0
-    ds.features[2, 2] = 1e308
-    path = "/tmp/qreg_test_cache.bin"
-    save_cache(ds, path)
-    back = load_cache(path)
-    assert np.array_equal(ds.features, back.features)
-    assert (np.signbit(back.features[1, 1]) == np.signbit(ds.features[1, 1]))
-    np.testing.assert_array_equal(ds.labels, back.labels)
-    assert back.num_classes == 5 and back.num_tasks == 0 and back.name == ds.name
-
-
-def test_cache_rejects_wrong_magic():
-    path = "/tmp/qreg_test_magic.bin"
-    with open(path, "wb") as fh:
-        fh.write(b"NOPE!" + b"\x00" * 16)
-    with pytest.raises(DataError):
-        load_cache(path)
 
 
 def test_subset_copies():

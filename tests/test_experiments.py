@@ -220,6 +220,26 @@ def test_cmd_stability_sweep_schema(tmp_path):
         assert ref_rows and all(row.endswith(",0") for row in ref_rows)
 
 
+def test_stability_reference_is_the_noise_sweep_job(tmp_path, monkeypatch):
+    cfg = parse_config(SMALL + "\n[stability]\nquant_bits = 4,8\nprune_ratios = 0.5\ndropout_rates = 0.1\n")
+    cfg = replace(cfg, seeds=(0,), noise_levels=(0.3,), epochs=1)
+    results = []
+    real_run_jobs = qreg.experiments.run_jobs
+
+    def capture(jobs, quiet):
+        results.extend(real_run_jobs(jobs, quiet))
+        return results
+
+    monkeypatch.setattr(qreg.experiments, "run_jobs", capture)
+    assert cmd_stability_sweep(cfg, str(tmp_path), quiet=True) == 0
+    prints = {(r.job.mode, r.job.extra): r.record.fingerprint for r in results}
+    # the reference trains exactly the noise-sweep job, so it carries its fingerprint
+    for mode, ref in (("quantization", "w4a4"), ("pruning", "0.75"), ("dropout", "0.1")):
+        assert prints[mode, ref] == cfg.fingerprint(mode, 0.3)
+    assert prints["quantization", "w8a8"] != cfg.fingerprint("quantization", 0.3)
+    assert prints["pruning", "0.5"] != cfg.fingerprint("pruning", 0.3)
+
+
 def test_stability_empty_grid_disables_a_mode(tmp_path):
     cfg = parse_config(
         SMALL + "\n[stability]\nquant_bits = 4\nprune_ratios =\ndropout_rates =\n"

@@ -120,16 +120,6 @@ def test_per_task_norm_equals_independent_single_feature_norms():
         np.testing.assert_allclose(joint.running_var[t : t + 1], single.running_var, rtol=1e-12)
 
 
-def test_per_task_norm_exposes_task_views():
-    layer = PerTaskNorm(6)
-    views = layer.task_norms
-    assert len(views) == 6
-    layer.gamma.value = np.arange(6.0)
-    assert views[3].gamma[0] == 3.0
-    layer.running_mean[2] = 7.0
-    assert views[2].running_mean[0] == 7.0
-
-
 def test_dropout_layer_contracts():
     with pytest.raises(ContractError):
         Dropout(1.0)
@@ -180,7 +170,7 @@ def test_multitask_architecture():
     m = build_mlp_multitask(32, 12, rng_())
     assert m.head == "sigmoid" and m.out_dim == 12
     assert isinstance(m.layers[-1], PerTaskNorm)
-    assert len(m.layers[-1].task_norms) == 12
+    assert m.layers[-1].gamma.value.shape == (12,)
     out = forward(m, np.zeros((4, 32)))
     assert out.shape == (4, 12)
 
