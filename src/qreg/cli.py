@@ -58,8 +58,8 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError:
                 raise ConfigError(f"expected comma-separated integers, got '{args.seeds}'",
                                   key="experiment.seeds") from None
-            if not seeds or len(set(seeds)) != len(seeds):
-                raise ConfigError("seed override must be non-empty and distinct", key="experiment.seeds")
+            if not seeds or len(set(seeds)) != len(seeds) or min(seeds) < 0:
+                raise ConfigError("seed override must be non-empty, distinct and >= 0", key="experiment.seeds")
             cfg = replace(cfg, seeds=seeds)
         out_dir = args.out if args.out is not None else cfg.output_dir
         if args.command == "train":

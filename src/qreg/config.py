@@ -149,6 +149,8 @@ class _Reader:
         return tuple(self._split(key, str, "names", False))
 
     def _split(self, key, cast, what, allow_empty):
+        """The listed values. A repeat is an error: equal values, or floats
+        whose `:g` labels, as the output files print them, are equal."""
         raw = self.values[key]
         parts = [p.strip() for p in raw.split(",") if p.strip()]
         if not parts:
@@ -156,9 +158,14 @@ class _Reader:
                 return []
             raise ConfigError(f"expected comma-separated {what}, got '{raw}'", key=_qualify(self.section, key))
         try:
-            return [cast(p) for p in parts]
+            values = [cast(p) for p in parts]
         except ValueError:
             raise ConfigError(f"expected comma-separated {what}, got '{raw}'", key=_qualify(self.section, key)) from None
+        labels = [f"{v:g}" if cast is float else str(v) for v in values]
+        for i, label in enumerate(labels):
+            if label in labels[:i] or values[i] in values[:i]:
+                raise ConfigError(f"'{label}' is listed more than once", key=_qualify(self.section, key))
+        return values
 
 
 @dataclass(frozen=True)
@@ -286,8 +293,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if not 0.0 <= s < 1.0:
             raise ConfigError(f"noise levels must lie in [0, 1), got {s}", key="experiment.noise_levels")
     seeds = exp.int_list("seeds")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be distinct", key="experiment.seeds")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be >= 0, got {min(seeds)}", key="experiment.seeds")
 
     kind = data.string("kind", DATA_KINDS)
     num_classes = data.integer("num_classes")
@@ -320,6 +327,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"separation must be positive, got {separation}", key="data.separation")
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must lie in (0, 1), got {val_fraction}", key="data.val_fraction")
+    data_seed = data.integer("data_seed")
+    if data_seed < 0:
+        raise ConfigError(f"data_seed must be >= 0, got {data_seed}", key="data.data_seed")
 
     preset = model.string("preset", PRESETS)
     if (preset == "mlp-multitask") != (kind == "multitask"):
@@ -335,6 +345,13 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}", key="training.batch_size")
     if learning_rate <= 0.0:
         raise ConfigError(f"learning_rate must be > 0, got {learning_rate}", key="training.learning_rate")
+    betas = {key: training.floating(key) for key in ("beta1", "beta2")}
+    for key, beta in betas.items():
+        if not 0.0 <= beta < 1.0:
+            raise ConfigError(f"{key} must lie in [0, 1), got {beta}", key=_qualify("training", key))
+    adam_eps = training.floating("adam_eps")
+    if adam_eps <= 0.0:
+        raise ConfigError(f"adam_eps must be > 0, got {adam_eps}", key="training.adam_eps")
 
     for key in ("weight_bits", "act_bits", "boundary_bits"):
         bits = quant.integer(key)
@@ -410,15 +427,15 @@ def parse_config(text: str) -> ExperimentConfig:
         test_size=test_size,
         separation=separation,
         val_fraction=val_fraction,
-        data_seed=data.integer("data_seed"),
+        data_seed=data_seed,
         noise_exclude_original=data.boolean("noise_exclude_original"),
         preset=preset,
         epochs=epochs,
         batch_size=batch_size,
         learning_rate=learning_rate,
-        beta1=training.floating("beta1"),
-        beta2=training.floating("beta2"),
-        adam_eps=training.floating("adam_eps"),
+        beta1=betas["beta1"],
+        beta2=betas["beta2"],
+        adam_eps=adam_eps,
         quant=quant_cfg,
         reg=reg_cfg,
         prune=prune_spec,

@@ -251,7 +251,8 @@ class Model:
         return out
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        state = {name: p.value.copy() for name, p in self.named_parameters()}
+        """C-ordered copies of every parameter and buffer, by qualified name."""
+        state = {name: p.value.copy(order="C") for name, p in self.named_parameters()}
         for i, layer in enumerate(self.layers):
             for bname, buf in layer.named_buffers():
                 state[f"layer{i}.{bname}"] = np.asarray(buf, dtype=np.float64).copy()

@@ -3,7 +3,8 @@
 Both losses are computed in numerically stable form (max-subtraction for the
 softmax partition function, the |z| trick for the logistic term) and carry
 their exact analytic backward rules, so no overflow-prone intermediate ever
-enters the graph.
+enters the graph. The rules build the softmax or sigmoid themselves, so a
+loss that is never backpropagated (evaluate) never computes it.
 """
 
 from __future__ import annotations
@@ -56,10 +57,9 @@ def cross_entropy_loss(logits: Node, targets) -> Node:
     m = z.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
     value = (lse - (z * t).sum(axis=1)).mean()
-    probs = softmax(z)
 
     def rule(g):
-        return (g * (probs - t) / n,)
+        return (g * (softmax(z) - t) / n,)
 
     return Node(value, (logits,), rule)
 
@@ -77,9 +77,8 @@ def binary_ce_loss(logits: Node, targets) -> Node:
     z = logits.value
     count = z.size
     value = (np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))).mean()
-    probs = sigmoid_value(z)
 
     def rule(g):
-        return (g * (probs - t) / count,)
+        return (g * (sigmoid_value(z) - t) / count,)
 
     return Node(value, (logits,), rule)

@@ -47,8 +47,12 @@ class PruneSpec:
 
 
 def neuron_norms(weight: np.ndarray) -> np.ndarray:
-    """L1 norm of each output channel (row of a dense weight, conv filter)."""
-    w = np.asarray(weight, dtype=np.float64)
+    """L1 norm of each output channel (row of a dense weight, conv filter).
+
+    The sum runs over a C-ordered copy: over a Fortran-order weight (see
+    training.Adam) numpy would add the same terms in another order.
+    """
+    w = np.ascontiguousarray(weight, dtype=np.float64)
     if w.ndim < 2:
         raise ContractError(f"weight must have rank >= 2, got shape {w.shape}")
     return np.abs(w).reshape(w.shape[0], -1).sum(axis=1)

@@ -7,12 +7,18 @@ Graphs are built by the free functions below (matmul, conv2d, relu, ...);
 backward() walks the graph once in reverse topological order and accumulates
 gradients into every reachable node that requires them.
 
-Values are float64 throughout. Arrays handed to a Node are treated as
-immutable from then on; optimizers rebind `node.value` to a fresh array
-rather than writing in place. Gradients follow the same contract: backward
-stores each node's first gradient without copying it (it may be the very
-array a backward rule returned, shared with other nodes or read-only), adds
-later contributions into a new array, and no rule writes into a gradient.
+Values are float64 throughout and C-contiguous, with one exception: a 2-D
+parameter that training.Adam has updated holds a Fortran-order view, the
+layout of the gradient linear returns, and straight_through keeps that
+layout in its image. Elementwise work gives the same bits in either layout;
+a reduction over a weight must not depend on it (pruning.neuron_norms sums
+a C-ordered copy, Model.state_dict copies in C order). Arrays handed to a
+Node are treated as immutable from then on; optimizers rebind `node.value`
+to a fresh array rather than writing in place. Gradients follow the same
+contract: backward stores each node's first gradient without copying it (it
+may be the very array a backward rule returned, shared with other nodes or
+read-only), adds later contributions into a new array, and no rule writes
+into a gradient.
 
 The layers run on three fused nodes: linear (dense affine map), conv2d with
 its bias, and batch_norm / batch_norm_eval. Each replaces a composition of
@@ -263,14 +269,15 @@ def sigmoid(a: Node) -> Node:
 
 
 def sigmoid_value(v: Array) -> Array:
-    """Numerically stable logistic function on raw arrays."""
+    """Numerically stable logistic function on raw arrays.
+
+    1 / (1 + exp(-v)) for v >= 0 and exp(v) / (1 + exp(v)) otherwise, with
+    both branches computed from exp(-|v|), which never overflows. -|v| is
+    taken as minimum(v, -v), which passes a NaN on with its sign bit.
+    """
     v = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    e = np.exp(v[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(np.minimum(v, -v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def exp(a: Node) -> Node:
@@ -338,14 +345,19 @@ def straight_through(a: Node, forward: Callable[[Array], Array]) -> Node:
 
     The straight-through estimator: the backward rule is the identity, so the
     gradient reaching this node's output is handed to `a` bit for bit.
-    `forward` must preserve shape.
+    `forward` must preserve shape. The image of a Fortran-order parameter
+    (see the module docstring) is kept in Fortran order when `forward` made
+    it so, as elementwise numpy does, so `linear` reads its transpose
+    without a copy.
     """
-    out = as_array(forward(a.value))
+    out = np.asarray(forward(a.value), dtype=np.float64)
     if out.shape != a.value.shape:
         raise ContractError(
             f"straight_through forward changed shape {a.value.shape} -> {out.shape}"
         )
-    return Node(out, (a,), lambda g: (g,))
+    node = Node((), (a,), lambda g: (g,))  # Node() would copy a Fortran-order value
+    node.value = out if out.ndim == 2 and out.flags.f_contiguous else as_array(out)
+    return node
 
 
 @functools.lru_cache(maxsize=64)

@@ -65,9 +65,15 @@ class Adam(object):
     The update is elementwise (Kingma & Ba, arXiv:1412.6980), so each step
     runs it once over every parameter concatenated into one vector, which is
     bit for bit the per-parameter update. The moments m and v are flat
-    vectors in parameter order. Values are gathered afresh each step and
-    each `p.value` is rebound to its reshaped slice of the result, so a
-    value rebound between steps (load_state_dict) is the one updated.
+    vectors in parameter order, and each 2-D parameter (a Dense weight) sits
+    in them transposed: that is the memory order of the gradient
+    `tensor.linear` returns, (x.T @ g).T, so gathering it is a view. Values
+    are gathered afresh each step, so a value rebound between steps
+    (load_state_dict) is the one updated. Each `p.value` is then rebound to
+    its slice of a fresh result vector, a 2-D one as the transposed view
+    (Fortran order), which `linear` reads without copying. The moment and
+    update arithmetic runs in buffers this object reuses; no value ever
+    points into them.
     """
 
     def __init__(self, params: list[tuple[str, Node]], lr: float = 1e-3,
@@ -85,8 +91,12 @@ class Adam(object):
         self.eps = eps
         self.t = 0
         self.bounds = np.cumsum([0] + [p.value.size for _, p in self.params])
-        self.m = np.zeros(self.bounds[-1])
-        self.v = np.zeros(self.bounds[-1])
+        size = self.bounds[-1]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._g = np.empty(size)
+        self._a = np.empty(size)
+        self._b = np.empty(size)
 
     def step(self) -> None:
         """Apply one update from the gradients currently on the parameters."""
@@ -95,20 +105,41 @@ class Adam(object):
             return
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        g = np.concatenate([np.zeros(p.value.size) if p._grad is None else p._grad.reshape(-1)
-                            for _, p in self.params])
+        g = np.concatenate([np.zeros(p.value.size) if p._grad is None else _flat(p._grad)
+                            for _, p in self.params], out=self._g)
         if not np.all(np.isfinite(g)):
             for name, p in self.params:
                 if p._grad is not None and not np.all(np.isfinite(p._grad)):
                     raise TrainingError(f"non-finite gradient for parameter '{name}'")
-        values = np.concatenate([p.value.reshape(-1) for _, p in self.params])
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * (g * g)
-        m_hat = self.m / c1
-        v_hat = self.v / c2
-        new = values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        new = np.concatenate([_flat(p.value) for _, p in self.params])
+        m, v, a, b = self.m, self.v, self._a, self._b
+        # m = beta1 * m + (1 - beta1) * g, and v alike with g * g
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(g, 1.0 - self.beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(g, g, out=a)
+        np.multiply(a, 1.0 - self.beta2, out=a)
+        np.multiply(v, self.beta2, out=v)
+        np.add(v, a, out=v)
+        # new = values - lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, c1, out=a)
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, self.eps, out=b)
+        np.multiply(a, self.lr, out=a)
+        np.divide(a, b, out=a)
+        np.subtract(new, a, out=new)
         for (_, p), lo, hi in zip(self.params, self.bounds[:-1], self.bounds[1:]):
-            p.value = new[lo:hi].reshape(p.value.shape)
+            shape = p.value.shape
+            if len(shape) == 2:
+                p.value = new[lo:hi].reshape(shape[::-1]).T
+            else:
+                p.value = new[lo:hi].reshape(shape)
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """A parameter-shaped array in Adam's flat order: transposed if 2-D."""
+    return (a.T if a.ndim == 2 else a).reshape(-1)
 
 
 @dataclass

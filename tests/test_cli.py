@@ -142,3 +142,42 @@ def test_invalid_thread_count_creates_no_output_dir(config_file, tmp_path, monke
     out = tmp_path / "out"
     assert main([command, "--config", str(config_file), "--out", str(out), "--quiet"]) == 2
     assert not out.exists()
+
+
+
+def _with_key(text, section, key, value):
+    """`text` with `key = value` set in `[section]`, replacing any earlier setting."""
+    lines = [l for l in text.splitlines() if not l.startswith(f"{key} =")]
+    header = f"[{section}]"
+    if header not in lines:
+        lines += ["", header]
+    lines.insert(lines.index(header) + 1, f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("noise-sweep", "experiment", "modes", "none,none"),
+    ("noise-sweep", "experiment", "noise_levels", "0.2,0.2"),
+    ("stability-sweep", "stability", "quant_bits", "4,4"),
+    ("stability-sweep", "stability", "prune_ratios", "0.5,0.5000001"),
+    ("stability-sweep", "stability", "dropout_rates", "0.3,0.30"),
+    ("train", "training", "beta1", "1.5"),
+    ("noise-sweep", "training", "beta2", "1.0"),
+    ("train", "training", "adam_eps", "0"),
+    ("train", "data", "data_seed", "-1"),
+    ("noise-sweep", "experiment", "seeds", "-1"),
+])
+def test_bad_config_value_exits_2_before_any_output(tmp_path, capsys, command, section, key, value):
+    path = tmp_path / "bad.ini"
+    path.write_text(_with_key(CONFIG, section, key, value))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_override_exits_2(config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config_file), "--out", str(out), "--seeds", "1,-2"]) == 2
+    assert "experiment.seeds" in capsys.readouterr().err
+    assert not out.exists()

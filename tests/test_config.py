@@ -113,6 +113,40 @@ def test_range_validation():
         parse_config("[experiment]\nseeds = 1,1\n")
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("experiment", "modes", "none,quantization,none"),
+    ("experiment", "noise_levels", "0.2,0.2"),
+    ("experiment", "noise_levels", "0.0,-0.0"),
+    ("experiment", "seeds", "3,03"),
+    ("stability", "quant_bits", "4,8,4"),
+    ("stability", "prune_ratios", "0.5,0.5000001"),  # both print as 0.5
+    ("stability", "dropout_rates", "0.1,0.10"),
+])
+def test_list_keys_reject_repeats(section, key, value):
+    with pytest.raises(ConfigError, match=f"'{section}.{key}'.*more than once"):
+        parse_config(f"[{section}]\n{key} = {value}\n")
+
+
+def test_grid_values_with_distinct_labels_are_kept():
+    cfg = parse_config("[stability]\nprune_ratios = 0.5,0.50001\n[experiment]\nnoise_levels = 0.1,0.15\n")
+    assert cfg.stability_prune_ratios == (0.5, 0.50001)
+    assert cfg.noise_levels == (0.1, 0.15)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("training", "beta1", "1.5"),
+    ("training", "beta1", "1.0"),
+    ("training", "beta2", "-0.1"),
+    ("training", "adam_eps", "0"),
+    ("training", "adam_eps", "-1e-8"),
+    ("data", "data_seed", "-1"),
+    ("experiment", "seeds", "0,-1"),
+])
+def test_adam_and_seed_values_are_range_checked(section, key, value):
+    with pytest.raises(ConfigError, match=f"'{section}.{key}'"):
+        parse_config(f"[{section}]\n{key} = {value}\n")
+
+
 def test_blob_sizes_must_divide_into_classes():
     with pytest.raises(ConfigError, match="train_size"):
         parse_config("[data]\nnum_classes = 7\ndim = 16\ntrain_size = 100\ntest_size = 1\n")

@@ -125,3 +125,21 @@ def test_one_hot_basic_and_errors():
         one_hot(np.array([3]), 3)
     with pytest.raises(ContractError):
         one_hot(np.array([-1]), 3)
+
+
+@pytest.mark.parametrize("kind", ["softmax", "sigmoid"])
+def test_losses_build_probabilities_only_when_backpropagated(kind, monkeypatch):
+    import qreg.losses
+
+    calls = []
+    name = "softmax" if kind == "softmax" else "sigmoid_value"
+    real = getattr(qreg.losses, name)
+    monkeypatch.setattr(qreg.losses, name, lambda z: calls.append(z) or real(z))
+    logits = T.parameter(np.random.default_rng(0).standard_normal((6, 3)))
+    if kind == "softmax":
+        loss = cross_entropy_loss(logits, one_hot(np.array([0, 1, 2, 0, 1, 2]), 3))
+    else:
+        loss = binary_ce_loss(logits, np.eye(6, 3))
+    assert calls == []  # evaluate reads only the value
+    T.backward(loss)
+    assert len(calls) == 1

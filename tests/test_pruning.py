@@ -29,6 +29,14 @@ def test_neuron_norms_rows_and_filters():
     np.testing.assert_array_equal(neuron_norms(conv), [12.0, 6.0])
 
 
+def test_neuron_norms_do_not_depend_on_memory_order():
+    # Adam leaves a dense weight in Fortran order; its row sums must keep the bits
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        w = rng.standard_normal((256, 32))
+        np.testing.assert_array_equal(neuron_norms(np.asfortranarray(w)), neuron_norms(w), strict=True)
+
+
 def test_keep_indices_drops_smallest_with_stable_ties():
     w = np.array([[1.0], [0.2], [0.2], [3.0]])
     # drop floor(0.5*4) = 2: both 0.2 rows tie; lower indices go first

@@ -312,3 +312,27 @@ def test_quantized_layer_state_in_state_dict():
     clone.load_state_dict(state)
     x = rng.uniform(-1, 1, (4, 8))
     np.testing.assert_array_equal(forward(model, x).value, forward(clone, x).value)
+
+
+def test_quantized_dense_weight_reaches_linear_without_a_copy():
+    from qreg.training import Adam
+
+    model = wrap_model(build_mlp_small(8, 3, np.random.default_rng(0)), QuantConfig())
+    model.train_mode = True
+    opt = Adam(model.named_parameters(), lr=1e-2)
+    x = np.random.default_rng(1).standard_normal((16, 8))
+    y = one_hot(np.arange(16) % 3, 3)
+    for _ in range(2):
+        for _, p in opt.params:
+            p.zero_grad()
+        T.backward(cross_entropy_loss(forward(model, x), y))
+        opt.step()
+    forward(model, x)
+    quantized = [l for l in model.layers if isinstance(l, QuantizedLayer)]
+    for layer in quantized:
+        w, qw = layer.last_ste_pairs[-1]
+        # Adam leaves the weight in Fortran order and its quantized image keeps it
+        assert w.value.flags.f_contiguous and qw.value.flags.f_contiguous
+        assert np.shares_memory(np.ascontiguousarray(qw.value.T), qw.value)
+        want = fake_quantize(np.ascontiguousarray(w.value), layer.weight_bits, layer.state.weight_scale)
+        np.testing.assert_array_equal(qw.value, want, strict=True)

@@ -224,3 +224,41 @@ def test_values_are_float64_and_c_order():
     n = T.constant(np.array([[1, 2], [3, 4]], dtype=np.int32).T)
     assert n.value.dtype == np.float64
     assert n.value.flags["C_CONTIGUOUS"]
+
+
+def _sigmoid_by_masks(v):
+    """The former sigmoid_value, branch by boolean mask: the bitwise reference."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    e = np.exp(v[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_value_is_bitwise_the_masked_form():
+    rng = np.random.default_rng(0)
+    cases = [rng.standard_normal((rng.integers(1, 40), rng.integers(1, 13))) * 10.0 ** rng.uniform(-3, 3)
+             for _ in range(100)]
+    nan_payload = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)
+    cases.append(np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+         745.0, -745.0, 746.0, -746.0, 1e308, -1e308, 36.7, -36.7], nan_payload]))
+    cases.append(np.array(-3.0))
+    for v in cases:
+        with np.errstate(all="ignore"):
+            want, got = _sigmoid_by_masks(v), T.sigmoid_value(v)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), strict=True)
+
+
+def test_straight_through_keeps_a_fortran_order_image():
+    w = T.parameter(np.arange(12.0).reshape(3, 4))
+    w.value = np.asfortranarray(w.value)
+    st = T.straight_through(w, lambda v: v * 2.0)
+    assert st.value.flags.f_contiguous
+    np.testing.assert_array_equal(st.value, np.arange(12.0).reshape(3, 4) * 2.0)
+    # a C-order or non-contiguous result is made C-contiguous as any value is
+    assert T.straight_through(w, lambda v: np.ascontiguousarray(v)).value.flags.c_contiguous
+    assert T.straight_through(w, lambda v: np.tile(v, 2)[:, ::2]).value.flags.c_contiguous

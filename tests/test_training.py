@@ -5,7 +5,7 @@ import qreg.training
 from qreg import tensor as T
 from qreg.data import split, synth_blobs, synth_multitask
 from qreg.errors import ContractError, TrainingError
-from qreg.layers import Dense, Model, ReLU, build_cnn_small, build_mlp_multitask, build_mlp_small, forward
+from qreg.layers import Dense, Dropout, Model, ReLU, build_cnn_small, build_mlp_multitask, build_mlp_small, forward
 from qreg.losses import binary_ce_loss, cross_entropy_loss, one_hot
 from qreg.pruning import PruneSpec
 from qreg.quantization import QuantConfig, QuantizedLayer
@@ -132,6 +132,11 @@ def test_flat_adam_is_bitwise_the_per_parameter_update(preset):
     data = np.random.default_rng(4)
     saw_strided = False
     for step in range(50):
+        if step == 10:
+            snapshots = [model.state_dict() for model in models]
+        if step == 30:  # rebinding values between steps (as an early-stopping restore does)
+            for model, snapshot in zip(models, snapshots):
+                model.load_state_dict(snapshot)
         x = data.standard_normal((16,) + shape)
         labels = data.integers(0, 2 if preset == "mlp-multitask" else 5, (16, 5))
         for model, opt in zip(models, (flat, ref)):
@@ -152,8 +157,38 @@ def test_flat_adam_is_bitwise_the_per_parameter_update(preset):
         for (name, a), (_, b) in zip(flat.params, ref.params):
             np.testing.assert_array_equal(a.value, b.value, err_msg=name, strict=True)
     assert saw_strided
-    np.testing.assert_array_equal(flat.m, np.concatenate([m.reshape(-1) for m in ref.m]), strict=True)
-    np.testing.assert_array_equal(flat.v, np.concatenate([v.reshape(-1) for v in ref.v]), strict=True)
+    # the flat moments hold each 2-D parameter transposed
+    for flat_moment, ref_moments in ((flat.m, ref.m), (flat.v, ref.v)):
+        expected = np.concatenate([(r.T if r.ndim == 2 else r).reshape(-1) for r in ref_moments])
+        np.testing.assert_array_equal(flat_moment, expected, strict=True)
+
+
+def test_adam_keeps_dense_weights_in_the_layout_linear_reads():
+    model = build_mlp_small(32, 5, np.random.default_rng(0))
+    model.train_mode = True
+    opt = Adam(model.named_parameters(), lr=1e-2)
+    buffers = [a for a in vars(opt).values() if isinstance(a, np.ndarray)]
+    data = np.random.default_rng(1)
+    before = None
+    for step in range(4):
+        for _, p in opt.params:
+            p.zero_grad()
+        x = data.standard_normal((16, 32))
+        T.backward(cross_entropy_loss(forward(model, x), one_hot(data.integers(0, 5, 16), 5)))
+        opt.step()
+        values = [p.value for _, p in opt.params]
+        for name, p in opt.params:
+            if p.value.ndim == 2:  # linear transposes it to C order without a copy
+                assert p.value.flags.f_contiguous, name
+                assert np.shares_memory(np.ascontiguousarray(p.value.T), p.value), name
+            assert not any(np.shares_memory(p.value, b) for b in buffers), name
+            if before is not None:  # each step's values are fresh memory
+                assert not any(np.shares_memory(p.value, b) for b in before), name
+        before = values
+    state = model.state_dict()
+    assert all(v.flags.c_contiguous for v in state.values())
+    for name, p in opt.params:
+        np.testing.assert_array_equal(state[name], p.value, strict=True)
 
 
 def test_flat_adam_names_the_parameter_with_a_nonfinite_gradient():
@@ -390,3 +425,41 @@ def test_evaluate_multitask_returns_per_task_f1():
     assert 0.0 <= acc <= 1.0
     assert f1.shape == (3,)
     assert f1_avg == pytest.approx(float(f1.mean()))
+
+
+WHOLE_RUNS = {
+    "none": dict(),
+    "weight_decay": dict(reg=RegularizerConfig(weight_decay=0.05)),
+    "dropout": dict(),
+    "label_smoothing": dict(),
+    "early_stopping": dict(reg=RegularizerConfig(early_stop_patience=1)),
+    "pruning": dict(prune=PruneSpec(ratio=0.5, warmup_epochs=2)),
+    "quantization": dict(quant=QuantConfig(weight_bits=4, act_bits=4)),
+    "pruning+early_stop": dict(prune=PruneSpec(ratio=0.5, warmup_epochs=2), always_early_stop=True,
+                               reg=RegularizerConfig(early_stop_patience=1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WHOLE_RUNS))
+def test_whole_runs_are_bitwise_those_of_the_per_parameter_adam(case, blob_splits, tmp_path, monkeypatch):
+    from qreg.checkpoint import write_container
+
+    tr, val, test_ds = blob_splits
+    mode = case.split("+")[0]
+    outputs = []
+    for optimizer in (Adam, PerParameterAdam):
+        monkeypatch.setattr(qreg.training, "Adam", optimizer)
+        rng = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(0,)))
+        model = Model([Dense(8, 24, rng), ReLU(), Dense(24, 16, rng), ReLU(), Dense(16, 3, rng)],
+                      head="softmax", out_dim=3, input_shape=(8,))
+        if mode == "dropout":
+            model.layers.insert(2, Dropout(0.2))
+        res = train(model, tr, val, test_ds,
+                    TrainSettings(mode=mode, epochs=8, batch_size=32, learning_rate=0.01, seed=4,
+                                  **WHOLE_RUNS[case]))
+        path = tmp_path / f"{optimizer.__name__}.qreg"
+        write_container(path, res.model.state_dict())
+        outputs.append((res.record.to_csv_text(), res.record.best_epoch, path.read_bytes()))
+        if "early" in case:  # the run stopped and restored its best epoch's parameters
+            assert res.record.best_epoch < len(res.record.rows) < 8
+    assert outputs[0] == outputs[1]
