@@ -75,12 +75,3 @@ def read_container(path, magic: bytes = MAGIC_MODEL) -> dict[str, np.ndarray]:
             raise DataError(f"{path}: array '{name}' has dims {dims}: {e}") from None
     return out
 
-
-def save_checkpoint(model, path) -> None:
-    """Write the model's parameters and running statistics to one file."""
-    write_container(path, model.state_dict(), MAGIC_MODEL)
-
-
-def load_checkpoint(model, path) -> None:
-    """Restore a checkpoint into a model of the identical architecture."""
-    model.load_state_dict(read_container(path, MAGIC_MODEL))

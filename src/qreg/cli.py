@@ -11,6 +11,11 @@ success, 2 for configuration or I/O problems (unknown keys name the offending
 key; unreadable configs and unwritable output directories report the OS
 error), 3 when at least one training run diverged (summaries still cover the
 rest).
+
+--seeds, and the --noise of train as its one noise level, enter the
+ExperimentConfig through dataclasses.replace, which checks them as it checks
+the INI keys (see qreg.config): a bad value exits 2, naming its key, before
+any output directory exists.
 """
 
 from __future__ import annotations
@@ -58,14 +63,10 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError:
                 raise ConfigError(f"expected comma-separated integers, got '{args.seeds}'",
                                   key="experiment.seeds") from None
-            if not seeds or len(set(seeds)) != len(seeds) or min(seeds) < 0:
-                raise ConfigError("seed override must be non-empty, distinct and >= 0", key="experiment.seeds")
             cfg = replace(cfg, seeds=seeds)
         out_dir = args.out if args.out is not None else cfg.output_dir
         if args.command == "train":
-            if not 0.0 <= args.noise < 1.0:
-                raise ConfigError(f"noise must lie in [0, 1), got {args.noise}",
-                                  key="experiment.noise_levels")
+            cfg = replace(cfg, noise_levels=(args.noise,))  # the one level train runs
             return cmd_train(cfg, out_dir, args.quiet, mode=args.mode, noise=args.noise)
         if args.command == "noise-sweep":
             return cmd_noise_sweep(cfg, out_dir, args.quiet)

@@ -4,6 +4,12 @@ Every key has a default, so the minimal valid config is an empty file. Unknown
 sections or keys are errors rather than warnings; a typo that silently falls
 back to a default would invalidate a whole sweep.
 
+parse_config only reads types. Which values are legal is checked once, on
+construction: QuantConfig, RegularizerConfig, PruneSpec and TrainSettings
+check their own fields, and ExperimentConfig.__post_init__ checks the rest,
+naming the INI key in a ConfigError. So every ExperimentConfig is valid,
+whether parsed or built with dataclasses.replace.
+
 A job trains one resolved config; a swept variant is its own config, built
 with dataclasses.replace. The fingerprint identifies a result row's
 provenance: it hashes the config it is called on together with the job
@@ -21,9 +27,10 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .pruning import PruneSpec
 from .quantization import QuantConfig
 from .regularization import RegularizerConfig
@@ -95,6 +102,21 @@ def _qualify(section: str, key: str) -> str:
     return f"{section}.{key}"
 
 
+# sub-config field -> its INI key, where that is not "<section>.<field>"
+_INI_KEYS = {"dropout_p": "regularization.dropout_rate", "mode": "experiment.modes"}
+
+
+@contextmanager
+def _keyed(section: str, key: str | None = None):
+    """Raise a sub-config's ContractError as a ConfigError naming `section.key`,
+    or, without `key`, the INI key of the field the error names."""
+    try:
+        yield
+    except ContractError as e:
+        name = _qualify(section, key) if key else _INI_KEYS.get(e.field, _qualify(section, e.field))
+        raise ConfigError(str(e), key=name) from None
+
+
 class _Reader:
     """Typed access to one section with key-precise error messages."""
 
@@ -102,17 +124,8 @@ class _Reader:
         self.section = section
         self.values = values
 
-    def raw(self, key: str) -> str:
-        return self.values[key]
-
-    def string(self, key: str, choices: tuple[str, ...] | None = None) -> str:
-        v = self.values[key].strip()
-        if choices is not None and v not in choices:
-            raise ConfigError(
-                f"expected one of {', '.join(choices)}, got '{v}'",
-                key=_qualify(self.section, key),
-            )
-        return v
+    def string(self, key: str) -> str:
+        return self.values[key].strip()
 
     def integer(self, key: str) -> int:
         v = self.values[key].strip()
@@ -139,38 +152,31 @@ class _Reader:
             return False
         raise ConfigError(f"expected true or false, got '{v}'", key=_qualify(self.section, key))
 
-    def int_list(self, key: str, allow_empty: bool = False) -> tuple[int, ...]:
-        return tuple(self._split(key, int, "integers", allow_empty))
+    def int_list(self, key: str) -> tuple[int, ...]:
+        return self._split(key, int, "integers")
 
-    def float_list(self, key: str, allow_empty: bool = False) -> tuple[float, ...]:
-        return tuple(self._split(key, float, "numbers", allow_empty))
+    def float_list(self, key: str) -> tuple[float, ...]:
+        return self._split(key, float, "numbers")
 
     def str_list(self, key: str) -> tuple[str, ...]:
-        return tuple(self._split(key, str, "names", False))
+        return self._split(key, str, "names")
 
-    def _split(self, key, cast, what, allow_empty):
-        """The listed values. A repeat is an error: equal values, or floats
-        whose `:g` labels, as the output files print them, are equal."""
+    def _split(self, key, cast, what):
+        """The listed values in order; a blank value lists none."""
         raw = self.values[key]
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        if not parts:
-            if allow_empty:
-                return []
-            raise ConfigError(f"expected comma-separated {what}, got '{raw}'", key=_qualify(self.section, key))
         try:
-            values = [cast(p) for p in parts]
+            return tuple(cast(p.strip()) for p in raw.split(",") if p.strip())
         except ValueError:
             raise ConfigError(f"expected comma-separated {what}, got '{raw}'", key=_qualify(self.section, key)) from None
-        labels = [f"{v:g}" if cast is float else str(v) for v in values]
-        for i, label in enumerate(labels):
-            if label in labels[:i] or values[i] in values[:i]:
-                raise ConfigError(f"'{label}' is listed more than once", key=_qualify(self.section, key))
-        return values
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description; every field is validated."""
+    """Fully resolved experiment description, valid by construction.
+
+    __post_init__ checks every field that belongs to no sub-config (the
+    sub-configs check their own) and raises a ConfigError naming the INI key.
+    """
 
     name: str = "exp"
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
@@ -205,6 +211,92 @@ class ExperimentConfig:
     stability_quant_bits: tuple[int, ...] = (4, 6, 8)
     stability_prune_ratios: tuple[float, ...] = (0.5, 0.75, 0.9)
     stability_dropout_rates: tuple[float, ...] = (0.05, 0.1, 0.3)
+
+    def __post_init__(self):
+        lists = {
+            "experiment.modes": self.modes,
+            "experiment.noise_levels": self.noise_levels,
+            "experiment.seeds": self.seeds,
+            # may be empty: an empty grid disables that mode's stability sweep
+            "stability.quant_bits": self.stability_quant_bits,
+            "stability.prune_ratios": self.stability_prune_ratios,
+            "stability.dropout_rates": self.stability_dropout_rates,
+        }
+        for key, values in lists.items():
+            if not values and key.startswith("experiment."):
+                raise ConfigError("must list at least one value", key=key)
+            # a repeat is an equal value, or a float whose `:g` label (as the outputs print it) is taken
+            labels = [f"{v:g}" if isinstance(v, float) else str(v) for v in values]
+            for i, label in enumerate(labels):
+                if label in labels[:i] or values[i] in values[:i]:
+                    raise ConfigError(f"'{label}' is listed more than once", key=key)
+        for s in self.noise_levels:
+            if not 0.0 <= s < 1.0:
+                raise ConfigError(f"noise levels must lie in [0, 1), got {s}", key="experiment.noise_levels")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}", key="experiment.seeds")
+
+        if self.data_kind not in DATA_KINDS:
+            raise ConfigError(f"expected one of {', '.join(DATA_KINDS)}, got '{self.data_kind}'", key="data.kind")
+        blobs = self.data_kind == "blobs"
+        if self.num_classes < 2:
+            raise ConfigError(f"need at least 2 classes, got {self.num_classes}", key="data.num_classes")
+        if self.num_tasks < 1:
+            raise ConfigError(f"need at least 1 task, got {self.num_tasks}", key="data.num_tasks")
+        if self.dim < 1:
+            raise ConfigError(f"dim must be positive, got {self.dim}", key="data.dim")
+        if blobs and self.dim < self.num_classes:
+            raise ConfigError(
+                f"blobs need dim >= num_classes, got dim {self.dim} for {self.num_classes} classes",
+                key="data.dim",
+            )
+        if self.train_size < 1:
+            raise ConfigError(f"train_size must be positive, got {self.train_size}", key="data.train_size")
+        if self.test_size < 1:
+            raise ConfigError(f"test_size must be positive, got {self.test_size}", key="data.test_size")
+        total = self.train_size + self.test_size
+        if blobs and total % self.num_classes:
+            raise ConfigError(
+                f"train_size + test_size must divide evenly into {self.num_classes} classes, got {total}",
+                key="data.train_size",
+            )
+        if not blobs and total < 4:
+            raise ConfigError(f"multitask data needs train_size + test_size >= 4, got {total}",
+                              key="data.train_size")
+        if not self.separation > 0.0:
+            raise ConfigError(f"separation must be positive, got {self.separation}", key="data.separation")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must lie in (0, 1), got {self.val_fraction}", key="data.val_fraction")
+        held_out = round(self.val_fraction * self.train_size)  # as data.split rounds it
+        if not 0 < held_out < self.train_size:
+            raise ConfigError(
+                f"val_fraction {self.val_fraction:g} of train_size {self.train_size} holds out"
+                f" {held_out} rows; the split needs at least 1 on each side",
+                key="data.val_fraction",
+            )
+        if self.data_seed < 0:
+            raise ConfigError(f"data_seed must be >= 0, got {self.data_seed}", key="data.data_seed")
+
+        if self.preset not in PRESETS:
+            raise ConfigError(f"expected one of {', '.join(PRESETS)}, got '{self.preset}'", key="model.preset")
+        if (self.preset == "mlp-multitask") != (self.data_kind == "multitask"):
+            raise ConfigError(f"preset '{self.preset}' does not fit data kind '{self.data_kind}'",
+                              key="model.preset")
+
+        # the mode and training fields: TrainSettings checks them for every job
+        with _keyed("training"):
+            for mode in self.modes:
+                self.train_settings(mode, 0)
+        # each grid value: the sub-config variant it names checks it
+        with _keyed("stability", "quant_bits"):
+            for bits in self.stability_quant_bits:
+                replace(self.quant, weight_bits=bits, act_bits=bits)
+        with _keyed("stability", "prune_ratios"):
+            for ratio in self.stability_prune_ratios:
+                replace(self.prune, ratio=ratio)
+        with _keyed("stability", "dropout_rates"):
+            for rate in self.stability_dropout_rates:
+                replace(self.reg, dropout_p=rate)
 
     def fingerprint(self, mode: str, noise: float, always_early_stop: bool = False) -> str:
         """12-hex-digit job identity; see the module docstring for scope."""
@@ -268,6 +360,8 @@ def _collect(parser: configparser.ConfigParser) -> dict[str, dict[str, str]]:
 
 
 def parse_config(text: str) -> ExperimentConfig:
+    """The config an INI text describes. Only types are read here; the
+    dataclasses check every value on construction (see the module docstring)."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         parser.read_file(io.StringIO(text))
@@ -284,164 +378,66 @@ def parse_config(text: str) -> ExperimentConfig:
     prune = _Reader("pruning", values["pruning"])
     stab = _Reader("stability", values["stability"])
 
-    modes = exp.str_list("modes")
-    for m in modes:
-        if m not in MODES:
-            raise ConfigError(f"unknown mode '{m}'", key="experiment.modes")
-    noise_levels = exp.float_list("noise_levels")
-    for s in noise_levels:
-        if not 0.0 <= s < 1.0:
-            raise ConfigError(f"noise levels must lie in [0, 1), got {s}", key="experiment.noise_levels")
-    seeds = exp.int_list("seeds")
-    if min(seeds) < 0:
-        raise ConfigError(f"seeds must be >= 0, got {min(seeds)}", key="experiment.seeds")
-
-    kind = data.string("kind", DATA_KINDS)
-    num_classes = data.integer("num_classes")
-    num_tasks = data.integer("num_tasks")
-    dim = data.integer("dim")
-    train_size = data.integer("train_size")
-    test_size = data.integer("test_size")
-    separation = data.floating("separation")
-    val_fraction = data.floating("val_fraction")
-    if num_classes < 2:
-        raise ConfigError(f"need at least 2 classes, got {num_classes}", key="data.num_classes")
-    if num_tasks < 1:
-        raise ConfigError(f"need at least 1 task, got {num_tasks}", key="data.num_tasks")
-    if dim < 1:
-        raise ConfigError(f"dim must be positive, got {dim}", key="data.dim")
-    if kind == "blobs" and dim < num_classes:
-        raise ConfigError(
-            f"blobs need dim >= num_classes, got dim {dim} for {num_classes} classes",
-            key="data.dim",
-        )
-    if train_size < 1 or test_size < 1:
-        raise ConfigError("train_size and test_size must be positive", key="data.train_size")
-    if kind == "blobs" and (train_size + test_size) % num_classes:
-        raise ConfigError(
-            f"train_size + test_size must divide evenly into {num_classes} classes,"
-            f" got {train_size + test_size}",
-            key="data.train_size",
-        )
-    if separation <= 0.0:
-        raise ConfigError(f"separation must be positive, got {separation}", key="data.separation")
-    if not 0.0 < val_fraction < 1.0:
-        raise ConfigError(f"val_fraction must lie in (0, 1), got {val_fraction}", key="data.val_fraction")
-    data_seed = data.integer("data_seed")
-    if data_seed < 0:
-        raise ConfigError(f"data_seed must be >= 0, got {data_seed}", key="data.data_seed")
-
-    preset = model.string("preset", PRESETS)
-    if (preset == "mlp-multitask") != (kind == "multitask"):
-        raise ConfigError(
-            f"preset '{preset}' does not fit data kind '{kind}'", key="model.preset"
-        )
+    preset = model.string("preset")
     epochs = training.integer("epochs")
-    batch_size = training.integer("batch_size")
-    learning_rate = training.floating("learning_rate")
-    if epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}", key="training.epochs")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}", key="training.batch_size")
-    if learning_rate <= 0.0:
-        raise ConfigError(f"learning_rate must be > 0, got {learning_rate}", key="training.learning_rate")
-    betas = {key: training.floating(key) for key in ("beta1", "beta2")}
-    for key, beta in betas.items():
-        if not 0.0 <= beta < 1.0:
-            raise ConfigError(f"{key} must lie in [0, 1), got {beta}", key=_qualify("training", key))
-    adam_eps = training.floating("adam_eps")
-    if adam_eps <= 0.0:
-        raise ConfigError(f"adam_eps must be > 0, got {adam_eps}", key="training.adam_eps")
-
-    for key in ("weight_bits", "act_bits", "boundary_bits"):
-        bits = quant.integer(key)
-        if not 2 <= bits <= 16:
-            raise ConfigError(f"bit width must lie in [2, 16], got {bits}", key=_qualify("quantization", key))
-    momentum = quant.floating("ema_momentum")
-    if not 0.0 < momentum < 1.0:
-        raise ConfigError(f"ema_momentum must lie in (0, 1), got {momentum}", key="quantization.ema_momentum")
-    keep_bn_raw = quant.raw("keep_batchnorm").strip()
-    keep_batchnorm = quant.boolean("keep_batchnorm") if keep_bn_raw else preset == "mlp-multitask"
-    quant_cfg = QuantConfig(
-        weight_bits=quant.integer("weight_bits"),
-        act_bits=quant.integer("act_bits"),
-        boundary_bits=quant.integer("boundary_bits"),
-        ema_momentum=momentum,
-        keep_batchnorm=keep_batchnorm,
-    )
-
-    wd = reg.floating("weight_decay")
-    dr = reg.floating("dropout_rate")
-    ls = reg.floating("label_smoothing")
-    patience = reg.integer("early_stop_patience")
-    metric = reg.string("early_stop_metric", ("val_loss", "val_accuracy"))
-    if wd < 0.0:
-        raise ConfigError(f"weight_decay must be >= 0, got {wd}", key="regularization.weight_decay")
-    if not 0.0 <= dr < 1.0:
-        raise ConfigError(f"dropout_rate must lie in [0, 1), got {dr}", key="regularization.dropout_rate")
-    if not 0.0 <= ls < 1.0:
-        raise ConfigError(f"label_smoothing must lie in [0, 1), got {ls}", key="regularization.label_smoothing")
-    if patience < 0:
-        raise ConfigError(f"early_stop_patience must be >= 0, got {patience}", key="regularization.early_stop_patience")
-    reg_cfg = RegularizerConfig(
-        weight_decay=wd, dropout_p=dr, label_smoothing=ls,
-        early_stop_patience=patience, early_stop_metric=metric,
-    )
-
-    ratio = prune.floating("ratio")
+    # the two keys whose default follows another key
+    keep_batchnorm = preset == "mlp-multitask"
+    if quant.string("keep_batchnorm"):
+        keep_batchnorm = quant.boolean("keep_batchnorm")
     warmup = prune.integer("warmup_epochs")
-    criterion = prune.string("criterion", ("lowest", "highest"))
-    if not 0.0 <= ratio < 1.0:
-        raise ConfigError(f"ratio must lie in [0, 1), got {ratio}", key="pruning.ratio")
     if warmup == -1:
-        warmup = int(0.25 * epochs)
-    elif warmup < 0:
-        raise ConfigError(f"warmup_epochs must be >= 0 (or -1 for automatic), got {warmup}", key="pruning.warmup_epochs")
-    prune_spec = PruneSpec(ratio=ratio, warmup_epochs=warmup, criterion=criterion)
+        # floor(0.25 * epochs); a bad epochs resolves to 0, so that ExperimentConfig reports it
+        warmup = max(epochs, 0) // 4
 
-    # an empty grid disables that mode's stability sweep
-    stab_bits = stab.int_list("quant_bits", allow_empty=True)
-    for bits in stab_bits:
-        if not 2 <= bits <= 16:
-            raise ConfigError(f"bit width must lie in [2, 16], got {bits}", key="stability.quant_bits")
-    stab_ratios = stab.float_list("prune_ratios", allow_empty=True)
-    for r in stab_ratios:
-        if not 0.0 <= r < 1.0:
-            raise ConfigError(f"ratio must lie in [0, 1), got {r}", key="stability.prune_ratios")
-    stab_rates = stab.float_list("dropout_rates", allow_empty=True)
-    for r in stab_rates:
-        if not 0.0 <= r < 1.0:
-            raise ConfigError(f"dropout rate must lie in [0, 1), got {r}", key="stability.dropout_rates")
+    with _keyed("quantization"):
+        quant_cfg = QuantConfig(
+            weight_bits=quant.integer("weight_bits"),
+            act_bits=quant.integer("act_bits"),
+            boundary_bits=quant.integer("boundary_bits"),
+            ema_momentum=quant.floating("ema_momentum"),
+            keep_batchnorm=keep_batchnorm,
+        )
+    with _keyed("regularization"):
+        reg_cfg = RegularizerConfig(
+            weight_decay=reg.floating("weight_decay"),
+            dropout_p=reg.floating("dropout_rate"),
+            label_smoothing=reg.floating("label_smoothing"),
+            early_stop_patience=reg.integer("early_stop_patience"),
+            early_stop_metric=reg.string("early_stop_metric"),
+        )
+    with _keyed("pruning"):
+        prune_spec = PruneSpec(ratio=prune.floating("ratio"), warmup_epochs=warmup,
+                               criterion=prune.string("criterion"))
 
     return ExperimentConfig(
         name=exp.string("name"),
-        seeds=seeds,
+        seeds=exp.int_list("seeds"),
         output_dir=exp.string("output_dir"),
-        modes=modes,
-        noise_levels=noise_levels,
-        data_kind=kind,
-        num_classes=num_classes,
-        num_tasks=num_tasks,
-        dim=dim,
-        train_size=train_size,
-        test_size=test_size,
-        separation=separation,
-        val_fraction=val_fraction,
-        data_seed=data_seed,
+        modes=exp.str_list("modes"),
+        noise_levels=exp.float_list("noise_levels"),
+        data_kind=data.string("kind"),
+        num_classes=data.integer("num_classes"),
+        num_tasks=data.integer("num_tasks"),
+        dim=data.integer("dim"),
+        train_size=data.integer("train_size"),
+        test_size=data.integer("test_size"),
+        separation=data.floating("separation"),
+        val_fraction=data.floating("val_fraction"),
+        data_seed=data.integer("data_seed"),
         noise_exclude_original=data.boolean("noise_exclude_original"),
         preset=preset,
         epochs=epochs,
-        batch_size=batch_size,
-        learning_rate=learning_rate,
-        beta1=betas["beta1"],
-        beta2=betas["beta2"],
-        adam_eps=adam_eps,
+        batch_size=training.integer("batch_size"),
+        learning_rate=training.floating("learning_rate"),
+        beta1=training.floating("beta1"),
+        beta2=training.floating("beta2"),
+        adam_eps=training.floating("adam_eps"),
         quant=quant_cfg,
         reg=reg_cfg,
         prune=prune_spec,
-        stability_quant_bits=stab_bits,
-        stability_prune_ratios=stab_ratios,
-        stability_dropout_rates=stab_rates,
+        stability_quant_bits=stab.int_list("quant_bits"),
+        stability_prune_ratios=stab.float_list("prune_ratios"),
+        stability_dropout_rates=stab.float_list("dropout_rates"),
     )
 
 

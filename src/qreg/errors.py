@@ -18,7 +18,12 @@ class DomainError(QregError):
 
 
 class ContractError(QregError):
-    """An API precondition was violated by the caller."""
+    """An API precondition was violated by the caller; `field` names the
+    offending dataclass field when a config's own check raised it."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class DataError(QregError):

@@ -39,11 +39,11 @@ class PruneSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.ratio < 1.0:
-            raise ContractError(f"prune ratio must lie in [0, 1), got {self.ratio}")
+            raise ContractError(f"prune ratio must lie in [0, 1), got {self.ratio}", "ratio")
         if self.warmup_epochs < 0:
-            raise ContractError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
+            raise ContractError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}", "warmup_epochs")
         if self.criterion not in CRITERIA:
-            raise ContractError(f"criterion must be one of {CRITERIA}, got '{self.criterion}'")
+            raise ContractError(f"criterion must be one of {CRITERIA}, got '{self.criterion}'", "criterion")
 
 
 def neuron_norms(weight: np.ndarray) -> np.ndarray:

@@ -32,40 +32,35 @@ class QuantConfig:
     """Bit widths and scale-tracking settings for one quantized model.
 
     boundary_bits applies to the first parametric layer and the final head
-    layer, which are kept at higher precision than the interior. enabled=False
-    turns every wrapped layer into an exact pass-through. keep_batchnorm=True
-    retains normalization layers when wrapping (the multi-task setup); by
-    default they are removed.
+    layer, which are kept at higher precision than the interior.
+    keep_batchnorm=True retains normalization layers when wrapping (the
+    multi-task setup); by default they are removed.
     """
 
     weight_bits: int = 4
     act_bits: int = 4
     boundary_bits: int = 8
     ema_momentum: float = 0.99
-    enabled: bool = True
     keep_batchnorm: bool = False
 
     def __post_init__(self):
         for field in ("weight_bits", "act_bits", "boundary_bits"):
             bits = getattr(self, field)
             if not isinstance(bits, int) or not 2 <= bits <= 16:
-                raise ContractError(f"{field} must be an integer in [2, 16], got {bits!r}")
+                raise ContractError(f"{field} must be an integer in [2, 16], got {bits!r}", field)
         if not 0.0 < self.ema_momentum < 1.0:
-            raise ContractError(f"ema_momentum must lie in (0, 1), got {self.ema_momentum}")
+            raise ContractError(f"ema_momentum must lie in (0, 1), got {self.ema_momentum}", "ema_momentum")
 
 
 class QuantState:
     """Mutable activation-scale tracker for one quantized layer.
 
     act_scale is meaningful only once calibrated (first train-mode batch).
-    weight_scale holds the per-channel scales of the most recent forward,
-    kept for introspection; it is recomputed from the live weights each time.
     """
 
     def __init__(self):
         self.act_scale: float = 0.0
         self.calibrated: bool = False
-        self.weight_scale: np.ndarray | None = None
 
 
 def _check_bits(bits: int) -> int:
@@ -139,10 +134,9 @@ class QuantizedLayer(Layer):
     quantized. Both quantizers sit behind straight-through nodes, so the
     upstream gradient reaches the latent weights and the input unchanged.
 
-    With cfg.enabled False the wrapper delegates to the inner layer and is an
-    exact pass-through. In eval mode before any train batch has calibrated the
-    activation scale, input quantization is skipped (there is no scale yet);
-    weight quantization still applies.
+    In eval mode before any train batch has calibrated the activation scale,
+    input quantization is skipped (there is no scale yet); weight
+    quantization still applies.
     """
 
     kind = "quantized"
@@ -160,8 +154,6 @@ class QuantizedLayer(Layer):
         self.last_ste_pairs: list[tuple[Node, Node]] = []
 
     def forward(self, x: Node, train_mode: bool, rng) -> Node:
-        if not self.cfg.enabled:
-            return self.inner.forward(x, train_mode, rng)
         self.last_ste_pairs = []
         if train_mode:
             act_scale_update(self.state, x.value, self.cfg.ema_momentum)
@@ -172,7 +164,6 @@ class QuantizedLayer(Layer):
         else:
             qx = x
         lam_w = weight_scales(self.inner.weight.value)
-        self.state.weight_scale = lam_w
         qw = T.straight_through(
             self.inner.weight, lambda v: fake_quantize(v, self.weight_bits, lam_w)
         )
@@ -202,9 +193,9 @@ def wrap_model(model: Model, cfg: QuantConfig) -> Model:
 
     All parametric layers are wrapped; the first and the last get
     boundary_bits for both weights and activations, interior layers get
-    (weight_bits, act_bits). When cfg.enabled and not cfg.keep_batchnorm,
-    plain batch-norm layers are dropped (per-task norms are always kept:
-    they are the multi-task output calibration, not trunk normalization).
+    (weight_bits, act_bits). Unless cfg.keep_batchnorm, plain batch-norm
+    layers are dropped (per-task norms are always kept: they are the
+    multi-task output calibration, not trunk normalization).
     """
     parametric = [i for i, l in enumerate(model.layers) if isinstance(l, (Dense, Conv2d))]
     if not parametric:
@@ -220,12 +211,7 @@ def wrap_model(model: Model, cfg: QuantConfig) -> Model:
             else:
                 bits = (cfg.weight_bits, cfg.act_bits)
             layers.append(QuantizedLayer(layer, bits[0], bits[1], cfg))
-        elif (
-            isinstance(layer, BatchNorm)
-            and not isinstance(layer, PerTaskNorm)
-            and cfg.enabled
-            and not cfg.keep_batchnorm
-        ):
+        elif isinstance(layer, BatchNorm) and not isinstance(layer, PerTaskNorm) and not cfg.keep_batchnorm:
             continue
         else:
             layers.append(layer)

@@ -20,17 +20,20 @@ class RegularizerConfig:
     early_stop_metric: str = "val_loss"
 
     def __post_init__(self):
-        if self.weight_decay < 0.0:
-            raise ContractError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not self.weight_decay >= 0.0:
+            raise ContractError(f"weight_decay must be >= 0, got {self.weight_decay}", "weight_decay")
         if not 0.0 <= self.dropout_p < 1.0:
-            raise ContractError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
+            raise ContractError(f"dropout_p must lie in [0, 1), got {self.dropout_p}", "dropout_p")
         if not 0.0 <= self.label_smoothing < 1.0:
-            raise ContractError(f"label_smoothing must lie in [0, 1), got {self.label_smoothing}")
+            raise ContractError(f"label_smoothing must lie in [0, 1), got {self.label_smoothing}",
+                                "label_smoothing")
         if self.early_stop_patience < 0:
-            raise ContractError(f"early_stop_patience must be >= 0, got {self.early_stop_patience}")
+            raise ContractError(f"early_stop_patience must be >= 0, got {self.early_stop_patience}",
+                                "early_stop_patience")
         if self.early_stop_metric not in ("val_loss", "val_accuracy"):
             raise ContractError(
-                f"early_stop_metric must be val_loss or val_accuracy, got '{self.early_stop_metric}'"
+                f"early_stop_metric must be val_loss or val_accuracy, got '{self.early_stop_metric}'",
+                "early_stop_metric",
             )
 
 

@@ -160,13 +160,19 @@ class TrainSettings:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ContractError(f"unknown mode '{self.mode}', expected one of {MODES}")
+            raise ContractError(f"unknown mode '{self.mode}', expected one of {MODES}", "mode")
         if self.epochs < 1:
-            raise ContractError(f"epochs must be >= 1, got {self.epochs}")
+            raise ContractError(f"epochs must be >= 1, got {self.epochs}", "epochs")
         if self.batch_size < 1:
-            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0.0:
-            raise ContractError(f"learning_rate must be > 0, got {self.learning_rate}")
+            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}", "batch_size")
+        if not self.learning_rate > 0.0:
+            raise ContractError(f"learning_rate must be > 0, got {self.learning_rate}", "learning_rate")
+        for name in ("beta1", "beta2"):
+            beta = getattr(self, name)
+            if not 0.0 <= beta < 1.0:
+                raise ContractError(f"{name} must lie in [0, 1), got {beta}", name)
+        if not self.adam_eps > 0.0:
+            raise ContractError(f"adam_eps must be > 0, got {self.adam_eps}", "adam_eps")
         if self.mode == "quantization" and self.quant is None:
             raise ContractError("quantization mode needs a QuantConfig")
         if self.mode == "pruning" and self.prune is None:

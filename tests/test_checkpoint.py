@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qreg.checkpoint import (
-    MAGIC_MODEL,
-    load_checkpoint,
-    read_container,
-    save_checkpoint,
-    write_container,
-)
+from qreg.checkpoint import MAGIC_MODEL, read_container, write_container
 from qreg.errors import DataError
 from qreg.layers import build_mlp_small, forward
 from qreg.quantization import QuantConfig, wrap_model
@@ -93,28 +87,28 @@ def test_container_truncated_or_mutated_raises_only_data_error(tmp_path_factory,
     assert all(isinstance(a, np.ndarray) for a in back.values())
 
 
-def test_model_checkpoint_round_trip_restores_predictions():
+def test_model_checkpoint_round_trip_restores_predictions(tmp_path):
     rng = np.random.default_rng(81)
     model = build_mlp_small(12, 4, rng)
-    path = "/tmp/qreg_ckpt_model.bin"
-    save_checkpoint(model, path)
+    path = tmp_path / "model.qreg"
+    write_container(path, model.state_dict())  # as cmd_train writes its checkpoints
     other = build_mlp_small(12, 4, np.random.default_rng(999))
-    load_checkpoint(other, path)
+    other.load_state_dict(read_container(path))
     x = rng.standard_normal((5, 12))
     assert np.array_equal(forward(model, x).value, forward(other, x).value)
 
 
-def test_quantized_model_checkpoint_includes_scales():
+def test_quantized_model_checkpoint_includes_scales(tmp_path):
     rng = np.random.default_rng(82)
     model = wrap_model(build_mlp_small(8, 3, rng), QuantConfig())
     model.train_mode = True
     forward(model, rng.uniform(-1, 1, (4, 8)))
     model.train_mode = False
-    path = "/tmp/qreg_ckpt_quant.bin"
-    save_checkpoint(model, path)
-    stored = read_container(path, MAGIC_MODEL)
+    path = tmp_path / "quant.qreg"
+    write_container(path, model.state_dict())
+    stored = read_container(path)
     assert any(k.endswith("act_scale") for k in stored)
     clone = wrap_model(build_mlp_small(8, 3, np.random.default_rng(5)), QuantConfig())
-    load_checkpoint(clone, path)
+    clone.load_state_dict(stored)
     x = rng.uniform(-1, 1, (6, 8))
     assert np.array_equal(forward(model, x).value, forward(clone, x).value)

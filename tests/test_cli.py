@@ -166,6 +166,8 @@ def _with_key(text, section, key, value):
     ("train", "training", "adam_eps", "0"),
     ("train", "data", "data_seed", "-1"),
     ("noise-sweep", "experiment", "seeds", "-1"),
+    ("train", "data", "val_fraction", "0.001"),  # holds out round(0.24) = 0 of 240 rows
+    ("noise-sweep", "data", "val_fraction", "0.999"),  # holds out all 240
 ])
 def test_bad_config_value_exits_2_before_any_output(tmp_path, capsys, command, section, key, value):
     path = tmp_path / "bad.ini"

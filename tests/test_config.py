@@ -1,8 +1,10 @@
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qreg.config import ExperimentConfig, load_config, parse_config
+from qreg.config import SCHEMA, ExperimentConfig, load_config, parse_config
 from qreg.errors import ConfigError
 from qreg.experiments import cmd_train
 
@@ -145,6 +147,67 @@ def test_grid_values_with_distinct_labels_are_kept():
 def test_adam_and_seed_values_are_range_checked(section, key, value):
     with pytest.raises(ConfigError, match=f"'{section}.{key}'"):
         parse_config(f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("experiment", "modes", "none,ridge"),
+    ("training", "epochs", "0"),
+    ("training", "epochs", "-9"),  # resolves warmup_epochs = -1 to 0, not to a bad warmup
+    ("training", "learning_rate", "-0.0"),
+    ("quantization", "ema_momentum", "1.0"),
+    ("regularization", "dropout_rate", "1.0"),  # RegularizerConfig calls it dropout_p
+    ("regularization", "early_stop_metric", "val_f1"),
+    ("pruning", "ratio", "1.0"),
+    ("pruning", "criterion", "middle"),
+    ("stability", "quant_bits", "4,17"),
+    ("stability", "prune_ratios", "0.5,1.0"),
+    ("stability", "dropout_rates", "-0.1"),
+    ("data", "kind", "images"),
+    ("data", "test_size", "0"),
+])
+def test_errors_of_the_dataclass_checks_name_the_ini_key(section, key, value):
+    with pytest.raises(ConfigError, match=f"'{section}.{key}'"):
+        parse_config(f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("change, key", [
+    (dict(seeds=()), "experiment.seeds"),
+    (dict(seeds=(1, 1)), "experiment.seeds"),
+    (dict(noise_levels=(1.0,)), "experiment.noise_levels"),
+    (dict(modes=("ridge",)), "experiment.modes"),
+    (dict(val_fraction=0.001), "data.val_fraction"),  # holds out none of FULL's 160 rows
+    (dict(val_fraction=0.999), "data.val_fraction"),  # holds out all of them
+    (dict(learning_rate=float("nan")), "training.learning_rate"),
+    (dict(stability_prune_ratios=(0.5, 1.0)), "stability.prune_ratios"),
+])
+def test_a_replaced_config_is_checked_like_a_parsed_one(change, key):
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        replace(parse_config(FULL), **change)
+
+
+_INTS = st.one_of(st.integers(-3, 20), st.sampled_from([-2**64, -2**31, 2**31, 2**64, 10**30]))
+_TEXT = st.text(alphabet="abnoe01.-, ", max_size=4)
+_VALUES = st.one_of(
+    _INTS.map(str),
+    st.sampled_from(["nan", "inf", "-inf", "-0.0", "0.0", "0.5", "1.0", "1e-300", "1e308"]),
+    _TEXT,
+    # a repeated list entry
+    st.one_of(_INTS.map(str), _TEXT.filter(lambda t: "," not in t)).map(lambda v: f"{v},{v}"),
+)
+
+
+@pytest.mark.parametrize("section, key", [(s, k) for s, keys in SCHEMA.items() for k in keys])
+@settings(max_examples=40, deadline=None)
+@given(value=_VALUES)
+def test_one_bad_value_is_a_config_error_naming_its_section(section, key, value):
+    try:
+        cfg = parse_config(f"[{section}]\n{key} = {value}\n")
+    except ConfigError as e:
+        assert e.key is not None and e.key.startswith(f"{section}.")
+        return
+    assert replace(cfg, seeds=cfg.seeds) == cfg
+    for mode in cfg.modes:
+        cfg.train_settings(mode, 0)
 
 
 def test_blob_sizes_must_divide_into_classes():

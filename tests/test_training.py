@@ -372,18 +372,6 @@ def test_always_early_stop_applies_to_other_modes(blob_splits):
     assert val_loss == res.record.rows[res.record.best_epoch - 1].val_loss
 
 
-def test_disabled_quantization_is_bitwise_mode_none(blob_splits):
-    tr, val, test_ds = blob_splits
-    plain = train(tiny_model(8), tr, val, test_ds,
-                  TrainSettings(mode="none", epochs=3, batch_size=32, seed=8))
-    disabled = train(tiny_model(8), tr, val, test_ds,
-                     TrainSettings(mode="quantization", epochs=3, batch_size=32, seed=8,
-                                   quant=QuantConfig(enabled=False)))
-    assert plain.record.to_csv_text() == disabled.record.to_csv_text()
-    for (na, a), (nb, b) in zip(plain.model.named_parameters(), disabled.model.named_parameters()):
-        np.testing.assert_array_equal(a.value, b.value)
-
-
 def test_label_smoothing_mode_feeds_smoothed_targets(blob_splits, monkeypatch):
     tr, val, test_ds = blob_splits
     from qreg.losses import one_hot
