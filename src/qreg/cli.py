@@ -12,8 +12,8 @@ key; unreadable configs and unwritable output directories report the OS
 error), 3 when at least one training run diverged (summaries still cover the
 rest).
 
---seeds, and the --noise of train as its one noise level, enter the
-ExperimentConfig through dataclasses.replace, which checks them as it checks
+--seeds, and the --noise and --mode of train as its one noise level and
+mode, enter the ExperimentConfig through dataclasses.replace, which checks them as it checks
 the INI keys (see qreg.config): a bad value exits 2, naming its key, before
 any output directory exists.
 """
@@ -67,6 +67,8 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = args.out if args.out is not None else cfg.output_dir
         if args.command == "train":
             cfg = replace(cfg, noise_levels=(args.noise,))  # the one level train runs
+            if args.mode is not None:
+                cfg = replace(cfg, modes=(args.mode,))
             return cmd_train(cfg, out_dir, args.quiet, mode=args.mode, noise=args.noise)
         if args.command == "noise-sweep":
             return cmd_noise_sweep(cfg, out_dir, args.quiet)

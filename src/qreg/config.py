@@ -267,6 +267,9 @@ class ExperimentConfig:
             raise ConfigError(f"separation must be positive, got {self.separation}", key="data.separation")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must lie in (0, 1), got {self.val_fraction}", key="data.val_fraction")
+        if self.train_size > 2**53:
+            raise ConfigError(f"train_size must be at most 2**53, where float64 counts exactly, got {self.train_size}",
+                              key="data.train_size")
         held_out = round(self.val_fraction * self.train_size)  # as data.split rounds it
         if not 0 < held_out < self.train_size:
             raise ConfigError(
@@ -287,6 +290,15 @@ class ExperimentConfig:
         with _keyed("training"):
             for mode in self.modes:
                 self.train_settings(mode, 0)
+        # a batch norm in train mode needs two rows in every minibatch
+        rows = self.train_size - held_out
+        for mode in self._trained_modes():
+            if self._keeps_batchnorm(mode) and (self.batch_size == 1 or rows % self.batch_size == 1):
+                raise ConfigError(
+                    f"{rows} training rows in batches of {self.batch_size} leave a batch of one row,"
+                    f" and {self.preset} trains a batch norm in mode '{mode}'",
+                    key="training.batch_size",
+                )
         # each grid value: the sub-config variant it names checks it
         with _keyed("stability", "quant_bits"):
             for bits in self.stability_quant_bits:
@@ -297,6 +309,19 @@ class ExperimentConfig:
         with _keyed("stability", "dropout_rates"):
             for rate in self.stability_dropout_rates:
                 replace(self.reg, dropout_p=rate)
+
+    def _trained_modes(self) -> tuple[str, ...]:
+        """The configured modes, then those of the non-empty stability grids."""
+        grids = (("quantization", self.stability_quant_bits), ("pruning", self.stability_prune_ratios),
+                 ("dropout", self.stability_dropout_rates))
+        return self.modes + tuple(mode for mode, grid in grids if grid and mode not in self.modes)
+
+    def _keeps_batchnorm(self, mode: str) -> bool:
+        """Whether a job of `mode` trains a batch norm: per-task norms stay in
+        every mode; cnn-small's drop out only under quantization without keep_batchnorm."""
+        if self.preset == "cnn-small":
+            return mode != "quantization" or self.quant.keep_batchnorm
+        return self.preset == "mlp-multitask"
 
     def fingerprint(self, mode: str, noise: float, always_early_stop: bool = False) -> str:
         """12-hex-digit job identity; see the module docstring for scope."""

@@ -4,6 +4,11 @@ A Model is an ordered list of layers plus a classification head tag:
 "softmax" (single-task, C classes) or "sigmoid" (multi-task, T independent
 binary labels). Layers expose their trainable parameters as Nodes and any
 non-trainable state (running statistics) as named numpy buffers.
+
+Each layer has two forwards: `forward` builds graph nodes (train mode, or
+any caller that backpropagates), and `infer` is the eval-mode forward on raw
+arrays, which writes into the slots of a tensor.Workspace. Both run the
+same tensor kernels, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ class Layer:
     kind = "layer"
 
     def forward(self, x: Node, train_mode: bool, rng) -> Node:
+        raise NotImplementedError
+
+    def infer(self, x: np.ndarray, ws: T.Workspace) -> np.ndarray:
+        """Eval-mode forward of a raw batch; the result may lie in a slot of `ws`."""
         raise NotImplementedError
 
     def named_parameters(self) -> list[tuple[str, Node]]:
@@ -61,6 +70,13 @@ class Dense(Layer):
 
     def forward(self, x: Node, train_mode: bool, rng) -> Node:
         return self.forward_with(x, self.weight)
+
+    def infer_with(self, x: np.ndarray, weight: np.ndarray, ws: T.Workspace) -> np.ndarray:
+        out = ws.other(x, (x.shape[0], self.out_features))
+        return T.linear_value(x, np.ascontiguousarray(weight.T), self.bias.value, out=out)
+
+    def infer(self, x, ws):
+        return self.infer_with(x, self.weight.value, ws)
 
     def named_parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -97,6 +113,12 @@ class Conv2d(Layer):
     def forward(self, x: Node, train_mode: bool, rng) -> Node:
         return self.forward_with(x, self.weight)
 
+    def infer_with(self, x: np.ndarray, weight: np.ndarray, ws: T.Workspace) -> np.ndarray:
+        return T.conv2d_value(x, weight, self.stride, self.padding, self.bias.value, ws=ws)[0]
+
+    def infer(self, x, ws):
+        return self.infer_with(x, self.weight.value, ws)
+
     def named_parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
@@ -124,17 +146,20 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
-    def _axes(self, x: Node) -> tuple[int, ...]:
-        if x.value.ndim == 2:
-            return (0,)
-        if x.value.ndim == 4:
-            return (0, 2, 3)
-        raise DimensionError(f"batchnorm expects 2-d or 4-d input, got {x.shape}")
+    def _axes(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        if len(shape) not in (2, 4):
+            raise DimensionError(f"batchnorm expects 2-d or 4-d input, got {shape}")
+        if shape[1] != self.dim:
+            raise DimensionError(f"batchnorm dim {self.dim} vs input feature dim {shape[1]}")
+        return (0,) if len(shape) == 2 else (0, 2, 3)
+
+    def infer(self, x, ws):
+        out = x if ws.owns(x) else ws.other(x, x.shape)  # never overwrite the caller's batch
+        return T.batch_norm_eval_value(x, self.gamma.value, self.beta.value, self._axes(x.shape),
+                                       self.running_mean, self.running_var, self.eps, out=out)
 
     def forward(self, x: Node, train_mode: bool, rng) -> Node:
-        axes = self._axes(x)
-        if x.shape[1] != self.dim:
-            raise DimensionError(f"batchnorm dim {self.dim} vs input feature dim {x.shape[1]}")
+        axes = self._axes(x.shape)
         if not train_mode:
             return T.batch_norm_eval(x, self.gamma, self.beta, axes,
                                      self.running_mean, self.running_var, self.eps)
@@ -175,10 +200,10 @@ class PerTaskNorm(BatchNorm):
         super().__init__(num_tasks, momentum, eps)
         self.num_tasks = num_tasks
 
-    def forward(self, x: Node, train_mode: bool, rng) -> Node:
-        if x.value.ndim != 2:
-            raise DimensionError(f"per-task norm expects [N, T] input, got {x.shape}")
-        return super().forward(x, train_mode, rng)
+    def _axes(self, shape):
+        if len(shape) != 2:
+            raise DimensionError(f"per-task norm expects [N, T] input, got {shape}")
+        return super()._axes(shape)
 
 
 class ReLU(Layer):
@@ -187,6 +212,9 @@ class ReLU(Layer):
     def forward(self, x: Node, train_mode: bool, rng) -> Node:
         return T.relu(x)
 
+    def infer(self, x, ws):
+        return T.relu_value(x, out=x if ws.owns(x) else ws.other(x, x.shape))
+
 
 class Flatten(Layer):
     kind = "flatten"
@@ -194,6 +222,9 @@ class Flatten(Layer):
     def forward(self, x: Node, train_mode: bool, rng) -> Node:
         n = x.shape[0]
         return T.reshape(x, (n, int(np.prod(x.shape[1:]))))
+
+    def infer(self, x, ws):
+        return x.reshape(x.shape[0], -1)
 
 
 class Dropout(Layer):
@@ -208,6 +239,9 @@ class Dropout(Layer):
         if train_mode and self.p > 0.0 and rng is None:
             raise ContractError("dropout in train mode needs an rng")
         return dropout_forward(x, self.p, train_mode, rng)
+
+    def infer(self, x, ws):
+        return x  # inverted dropout needs no correction in eval mode
 
 
 HEADS = ("softmax", "sigmoid")
@@ -286,24 +320,35 @@ class Model:
                 layer.set_buffer(bname, value)
 
 
+# The eval path's scratch memory, shared by every model this process
+# evaluates, so its buffers are sized once per process, not once per job.
+# Nothing read from it outlives a forward call (forward copies the logits
+# out), so sharing it couples no two callers; it is not for concurrent use
+# by threads, which the engine never starts.
+_EVAL_WS = T.Workspace()
+
+
 def forward(model: Model, x, rng=None) -> Node:
     """Run the model on a batch, honoring model.train_mode. Returns logits.
 
-    In eval mode no graph is kept: each layer's output is rewrapped as a
-    constant before the next layer runs, so a layer's intermediates (im2col
-    columns, normalization temporaries, backward closures) are freed one
-    layer later, and the returned logits have no parents. Eval-mode outputs
-    cannot be backpropagated.
+    In eval mode no graph is built: each layer's `infer` runs on raw arrays
+    and writes its output into the module's Workspace, whose slots are reused
+    by every later eval-mode call (see tensor.Workspace). The returned logits
+    are a copy, so they alias no slot, and a constant Node: they cannot be
+    backpropagated.
     """
     node = x if isinstance(x, Node) else T.constant(x)
     if node.value.ndim < 2 or node.shape[1:] != model.input_shape:
         raise DimensionError(
             f"input shape {node.shape} does not match model input {('N',) + model.input_shape}"
         )
+    if not model.train_mode:
+        v = node.value
+        for layer in model.layers:
+            v = layer.infer(v, _EVAL_WS)
+        return T.constant(v.copy())
     for layer in model.layers:
-        node = layer.forward(node, model.train_mode, rng)
-        if not model.train_mode:
-            node = T.constant(node.value)
+        node = layer.forward(node, True, rng)
     return node
 
 

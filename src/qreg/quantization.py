@@ -69,16 +69,25 @@ def _check_bits(bits: int) -> int:
     return 2 ** (bits - 1) - 1
 
 
-def round_half_away(y: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, ties away from zero (odd-symmetric)."""
-    return np.copysign(np.floor(np.abs(y) + 0.5), y)
+def round_half_away(y: np.ndarray, out: np.ndarray | None = None, sign: np.ndarray | None = None) -> np.ndarray:
+    """Round to nearest integer, ties away from zero (odd-symmetric).
+
+    Computes copysign(floor(|y| + 0.5), y) into `out`. `out` may be y itself
+    only when `sign`, an array with y's signs, is given apart from it.
+    """
+    r = np.abs(y, out=out)
+    r += 0.5
+    np.floor(r, out=r)
+    return np.copysign(r, y if sign is None else sign, out=r)
 
 
-def fake_quantize(x: np.ndarray, bits: int, scale) -> np.ndarray:
+def fake_quantize(x: np.ndarray, bits: int, scale, out: np.ndarray | None = None) -> np.ndarray:
     """Snap x onto the symmetric grid of 2^bits - 1 levels spanning [-scale, scale].
 
     scale is a positive scalar or, for per-channel quantization, an array
-    with one entry per leading-axis slice of x.
+    with one entry per leading-axis slice of x. `out`, when given, receives
+    the result and must not overlap x; by default it is a new array in x's
+    memory layout.
     """
     q = _check_bits(bits)
     x = np.asarray(x, dtype=np.float64)
@@ -91,8 +100,10 @@ def fake_quantize(x: np.ndarray, bits: int, scale) -> np.ndarray:
                 f"per-channel scale must have shape ({x.shape[0]},), got {lam.shape}"
             )
         lam = lam.reshape((-1,) + (1,) * (x.ndim - 1))
-    y = x * (q / lam)
-    return np.clip(round_half_away(y), -q, q) * (lam / q)
+    y = np.multiply(x, q / lam, out=np.empty_like(x) if out is None else out)
+    round_half_away(y, out=y, sign=x)  # q / lam > 0, so y has x's signs
+    np.clip(y, -q, q, out=y)
+    return np.multiply(y, lam / q, out=y)
 
 
 def weight_scales(w: np.ndarray) -> np.ndarray:
@@ -169,6 +180,12 @@ class QuantizedLayer(Layer):
         )
         self.last_ste_pairs.append((self.inner.weight, qw))
         return self.inner.forward_with(qx, qw)
+
+    def infer(self, x: np.ndarray, ws: T.Workspace) -> np.ndarray:
+        if self.state.calibrated:
+            x = fake_quantize(x, self.act_bits, self.state.act_scale, out=ws.other(x, x.shape))
+        w = self.inner.weight.value
+        return self.inner.infer_with(x, fake_quantize(w, self.weight_bits, weight_scales(w)), ws)
 
     def named_parameters(self):
         return self.inner.named_parameters()

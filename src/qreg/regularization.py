@@ -38,20 +38,30 @@ class RegularizerConfig:
 
 
 def weight_decay_loss(weights: list[Node], alpha: float) -> Node:
-    """alpha times the summed squared entries of the given weight matrices.
+    """alpha times the summed squared entries of the given weight matrices, as one node.
 
     Callers pass dense/conv weights only; biases and normalization parameters
-    stay out of the penalty. Gradient wrt each W is 2*alpha*W.
+    stay out of the penalty. Stands for mul(sum of reduce_sum(mul(w, w)),
+    alpha). The gradient wrt each W is that graph's: mul(w, w) hands
+    (g * alpha) * W to each of its two operands, and they sum to 2*alpha*W
+    bit for bit, in W's own memory layout. The value, which nothing reads
+    but the graph, sums each W's squares in memory order.
     """
     if alpha < 0.0:
         raise ContractError(f"weight decay coefficient must be >= 0, got {alpha}")
-    total: Node | None = None
-    for w in weights:
-        term = T.reduce_sum(T.mul(w, w))
-        total = term if total is None else T.add(total, term)
-    if total is None:
+    if not weights:
         return T.constant(0.0)
-    return T.mul(total, T.constant(alpha))
+    total = sum(float(np.dot(v, v)) for v in (w.value.ravel(order="K") for w in weights))
+
+    def rule(g: np.ndarray):
+        s = g * alpha
+        grads = []
+        for w in weights:
+            term = s * w.value
+            grads.append(np.add(term, term, out=term))
+        return grads
+
+    return Node(alpha * total, weights, rule)
 
 
 def dropout_forward(x: Node, p: float, train_mode: bool, rng: np.random.Generator | None) -> Node:

@@ -26,11 +26,22 @@ the elementary ops above with one node whose forward and backward evaluate
 that composition's numpy expressions, in the order its graph sums them, so
 values and gradients are bit for bit those of the composed graph. Each
 fused op's docstring names the composition it stands for.
+
+Eval-mode forward (layers.forward) builds no graph. It runs the same
+forward arithmetic on raw arrays: each op's forward is one kernel
+(linear_value, conv2d_value, batch_norm_eval_value, relu_value, and
+quantization.fake_quantize) that the graph node calls too and that takes an
+optional `out=` array to write into (conv2d_value a Workspace). The eval
+path points them at the slots of the one Workspace the layers module keeps:
+scratch memory that every eval-mode forward overwrites, and so outside the
+immutable-value contract. No Node value and no array returned to a caller
+may point into a slot.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -97,6 +108,42 @@ class Node:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Node(shape={self.value.shape}{tag}, requires_grad={self.requires_grad})"
+
+
+class Workspace:
+    """Named scratch arrays that eval-mode forward reuses from call to call.
+
+    Each slot is one flat float64 buffer that grows to the largest request
+    and never shrinks. A request returns a C-contiguous leading view of it,
+    so a shorter chunk uses the front of the same memory. A slot's contents
+    live until the next request for that slot. Layer outputs alternate
+    between the slots "ping" and "pong" (see other), so a layer can read its
+    input while it writes its output.
+    """
+
+    def __init__(self):
+        self._slots: dict[str, Array] = {}
+
+    def empty(self, name: str, shape: tuple[int, ...]) -> Array:
+        size = math.prod(shape)
+        buf = self._slots.get(name)
+        if buf is None or buf.size < size:
+            buf = self._slots[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+    def owns(self, a: Array) -> bool:
+        """Whether `a` lies in a slot, so the eval path may overwrite it."""
+        return any(np.may_share_memory(a, buf) for buf in self._slots.values())
+
+    def other(self, a: Array, shape: tuple[int, ...]) -> Array:
+        """The ping-pong slot that does not hold `a`, viewed as `shape`."""
+        ping = self._slots.get("ping")
+        held = ping is not None and np.may_share_memory(a, ping)
+        return self.empty("pong" if held else "ping", shape)
+
+
+def _scratch(ws: Workspace | None, name: str, shape: tuple[int, ...]) -> Array:
+    return np.empty(shape) if ws is None else ws.empty(name, shape)
 
 
 def constant(value, name: str = "") -> Node:
@@ -215,6 +262,25 @@ def matmul(a: Node, b: Node) -> Node:
     return Node(av @ bv, (a, b), rule)
 
 
+def linear_value(xv: Array, wt: Array, bv: Array, out: Array | None = None) -> Array:
+    """xv [N,D] @ wt [D,F] + bv [F] on raw arrays: linear's forward.
+
+    wt is the weight transposed and contiguous. `out`, when given, receives
+    the result and must not overlap xv.
+    """
+    if wt.ndim != 2:
+        raise DimensionError(f"linear needs a 2-d weight, got {wt.T.shape}")
+    if xv.ndim != 2:
+        raise DimensionError(f"linear needs a 2-d input, got {xv.shape}")
+    if xv.shape[1] != wt.shape[0]:
+        raise DimensionError(f"linear: input has {xv.shape[1]} features but weight expects {wt.shape[0]}")
+    if bv.shape != (wt.shape[1],):
+        raise DimensionError(f"linear: bias {bv.shape} does not match {wt.shape[1]} outputs")
+    out = np.matmul(xv, wt, out=out)
+    out += bv
+    return out
+
+
 def linear(x: Node, w: Node, b: Node) -> Node:
     """Affine map x [N,D] @ w.T + b with w [F,D], as one node.
 
@@ -222,16 +288,9 @@ def linear(x: Node, w: Node, b: Node) -> Node:
     made contiguous as the transpose node made it, and the gradients are the
     composed graph's g @ wt.T, (x.T @ g).T and the bias sum.
     """
-    if w.value.ndim != 2:
-        raise DimensionError(f"linear needs a 2-d weight, got {w.shape}")
-    if x.value.ndim != 2:
-        raise DimensionError(f"linear needs a 2-d input, got {x.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise DimensionError(f"linear: input has {x.shape[1]} features but weight expects {w.shape[1]}")
-    if b.shape != (w.shape[0],):
-        raise DimensionError(f"linear: bias {b.shape} does not match {w.shape[0]} outputs")
     xv, bv = x.value, b.value
     wt = np.ascontiguousarray(w.value.T)
+    out = linear_value(xv, wt, bv)
 
     def rule(g: Array):
         gx = g @ wt.T if x.requires_grad else None
@@ -239,7 +298,7 @@ def linear(x: Node, w: Node, b: Node) -> Node:
         gb = _unbroadcast(g, bv.shape) if b.requires_grad else None
         return gx, gw, gb
 
-    return Node(xv @ wt + bv, (x, w, b), rule)
+    return Node(out, (x, w, b), rule)
 
 
 def transpose(a: Node) -> Node:
@@ -257,10 +316,15 @@ def reshape(a: Node, shape: tuple[int, ...]) -> Node:
     return Node(out, (a,), lambda g: (g.reshape(old),))
 
 
+def relu_value(v: Array, out: Array | None = None) -> Array:
+    """max(v, 0) on raw arrays: relu's forward. `out` may be v itself."""
+    return np.maximum(v, 0.0, out=out)
+
+
 def relu(a: Node) -> Node:
     v = a.value
     mask = v > 0.0  # gradient at exactly zero is zero
-    return Node(np.maximum(v, 0.0), (a,), lambda g: (g * mask,))
+    return Node(relu_value(v), (a,), lambda g: (g * mask,))
 
 
 def sigmoid(a: Node) -> Node:
@@ -377,6 +441,55 @@ def _im2col_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int) -> Ar
     return idx
 
 
+def conv2d_value(xv: Array, wv: Array, stride: int = 1, padding: int = 0, bv: Array | None = None,
+                 ws: Workspace | None = None) -> tuple[Array, Array]:
+    """conv2d's forward on raw arrays: (output [N,F,Ho,Wo], im2col matrix).
+
+    With a Workspace, the zero-padded copy of xv, the im2col matrix and the
+    matmul result are its slots "pad", "cols" and "mat", and the output is
+    the ping-pong slot that does not hold xv (only this kernel knows the
+    output's shape, so it takes the Workspace instead of an `out=`); without
+    one they are fresh arrays.
+    """
+    if xv.ndim != 4 or wv.ndim != 4:
+        raise DimensionError(f"conv2d needs 4-d input and kernel, got {xv.shape} and {wv.shape}")
+    if stride < 1 or padding < 0:
+        raise ContractError(f"conv2d: stride must be >= 1 and padding >= 0, got {stride}, {padding}")
+    n, c, h, wd = xv.shape
+    f, cw, kh, kw = wv.shape
+    if cw != c:
+        raise DimensionError(f"conv2d: input has {c} channels but kernel expects {cw}")
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    if kh > hp or kw > wp:
+        raise DimensionError(
+            f"conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}"
+        )
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    if bv is not None and bv.size != f:
+        raise DimensionError(f"conv2d: bias has {bv.size} entries for {f} filters")
+
+    xp = xv
+    if padding:
+        if ws is None:
+            xp = np.zeros((n, c, hp, wp))
+        else:
+            xp = ws.empty("pad", (n, c, hp, wp))
+            xp.fill(0.0)
+        xp[:, :, padding : padding + h, padding : padding + wd] = xv
+    idx = _im2col_index(c, hp, wp, kh, kw, stride)
+    # mode="clip" writes straight into `out`; "raise" would gather into a temporary
+    cols = np.take(xp.reshape(n, c * hp * wp), idx, axis=1, mode="clip",
+                   out=_scratch(ws, "cols", (n, idx.size)))
+    cols = cols.reshape(n * ho * wo, c * kh * kw)
+    mat = np.matmul(cols, wv.reshape(f, c * kh * kw).T, out=_scratch(ws, "mat", (n * ho * wo, f)))
+    if bv is not None:
+        mat += bv.reshape(f)
+    out = np.empty((n, f, ho, wo)) if ws is None else ws.other(xv, (n, f, ho, wo))
+    np.copyto(out, mat.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
+    return out, cols
+
+
 def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0, bias: Node | None = None) -> Node:
     """2-d cross-correlation of x [N,C,H,W] with filters w [F,C,kh,kw].
 
@@ -390,35 +503,12 @@ def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0, bias: Node | Non
     add(conv2d(x, w), reshape(bias, (1, F, 1, 1))): the bias is added to the
     same matmul entries, and its gradient is the same _unbroadcast sum.
     """
-    if x.value.ndim != 4 or w.value.ndim != 4:
-        raise DimensionError(f"conv2d needs 4-d input and kernel, got {x.shape} and {w.shape}")
-    if stride < 1 or padding < 0:
-        raise ContractError(f"conv2d: stride must be >= 1 and padding >= 0, got {stride}, {padding}")
+    out, cols = conv2d_value(x.value, w.value, stride, padding, None if bias is None else bias.value)
     n, c, h, wd = x.shape
-    f, cw, kh, kw = w.shape
-    if cw != c:
-        raise DimensionError(f"conv2d: input has {c} channels but kernel expects {cw}")
+    f, _, kh, kw = w.shape
+    _, _, ho, wo = out.shape
     hp, wp = h + 2 * padding, wd + 2 * padding
-    if kh > hp or kw > wp:
-        raise DimensionError(
-            f"conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}"
-        )
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    if bias is not None and bias.value.size != f:
-        raise DimensionError(f"conv2d: bias has {bias.value.size} entries for {f} filters")
-
-    xp = x.value
-    if padding:
-        xp = np.zeros((n, c, hp, wp))
-        xp[:, :, padding : padding + h, padding : padding + wd] = x.value
-    idx = _im2col_index(c, hp, wp, kh, kw, stride)
-    cols = np.take(xp.reshape(n, c * hp * wp), idx, axis=1).reshape(n * ho * wo, c * kh * kw)
     wmat = w.value.reshape(f, c * kh * kw)
-    out = cols @ wmat.T
-    if bias is not None:
-        out += bias.value.reshape(f)
-    out = out.reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
 
     def rule(g: Array):
         gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
@@ -437,17 +527,31 @@ def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0, bias: Node | Non
         return gx, gw, gb
 
     parents = (x, w) if bias is None else (x, w, bias)
-    return Node(np.ascontiguousarray(out), parents, rule)
+    return Node(out, parents, rule)
 
 
-def _norm_shape(x: Node, gamma: Node, beta: Node, axes: tuple[int, ...]) -> tuple[int, ...]:
+def _norm_shape(shape: tuple[int, ...], gamma: Array, beta: Array, axes: tuple[int, ...]) -> tuple[int, ...]:
     """Keepdims shape of the statistics; gamma and beta hold one entry per slot."""
-    kept = tuple(1 if i in axes else d for i, d in enumerate(x.shape))
-    size = int(np.prod(kept))
+    kept = tuple(1 if i in axes else d for i, d in enumerate(shape))
+    size = math.prod(kept)
     for name, p in (("gamma", gamma), ("beta", beta)):
-        if p.value.size != size:
-            raise DimensionError(f"batch_norm: {name} has {p.value.size} entries for statistics of shape {kept}")
+        if p.size != size:
+            raise DimensionError(f"batch_norm: {name} has {p.size} entries for statistics of shape {kept}")
     return kept
+
+
+def _scale_shift(xn: Array, gv: Array, bv: Array, out: Array | None = None) -> Array:
+    """xn * gamma + beta, both in keepdims shape; `out` may be xn itself."""
+    out = np.multiply(xn, gv, out=out)
+    return np.add(out, bv, out=out)
+
+
+def _normalize_eval(xv: Array, mean: Array, var: Array, eps: float, kept: tuple[int, ...],
+                    out: Array | None = None) -> tuple[Array, Array]:
+    """((x - mean) * inv, inv) with inv = 1 / sqrt(var + eps); `out` may be xv itself."""
+    inv = 1.0 / np.sqrt(var.reshape(kept) + eps)
+    out = np.subtract(xv, mean.reshape(kept), out=out)
+    return np.multiply(out, inv, out=out), inv
 
 
 def batch_norm(x: Node, gamma: Node, beta: Node, axes: tuple[int, ...], eps: float) -> tuple[Node, Array, Array]:
@@ -460,9 +564,9 @@ def batch_norm(x: Node, gamma: Node, beta: Node, axes: tuple[int, ...], eps: flo
     and replays its backward in graph order: the three contributions to xc
     sum as (g1*inv + gsq*xc) + gsq*xc before the mean path adds its share.
     """
-    kept = _norm_shape(x, gamma, beta, axes)
+    kept = _norm_shape(x.shape, gamma.value, beta.value, axes)
     xv = x.value
-    count = int(np.prod([xv.shape[i] for i in axes]))
+    count = math.prod(xv.shape[i] for i in axes)
     mu = xv.sum(axis=axes, keepdims=True) * (1.0 / count)
     xc = xv - mu
     var = (xc * xc).sum(axis=axes, keepdims=True) * (1.0 / count)
@@ -483,8 +587,16 @@ def batch_norm(x: Node, gamma: Node, beta: Node, axes: tuple[int, ...], eps: flo
         gb = _unbroadcast(g, kept).reshape(beta.shape) if beta.requires_grad else None
         return gx, gg, gb
 
-    out = xn * gv + beta.value.reshape(kept)
+    out = _scale_shift(xn, gv, beta.value.reshape(kept))
     return Node(out, (x, gamma, beta), rule), mu, var
+
+
+def batch_norm_eval_value(xv: Array, gv: Array, bv: Array, axes: tuple[int, ...], mean: Array,
+                          var: Array, eps: float, out: Array | None = None) -> Array:
+    """batch_norm_eval's forward on raw arrays; `out` may be xv itself."""
+    kept = _norm_shape(xv.shape, gv, bv, axes)
+    xn, _ = _normalize_eval(xv, mean, var, eps, kept, out)
+    return _scale_shift(xn, gv.reshape(kept), bv.reshape(kept), out=xn)
 
 
 def batch_norm_eval(x: Node, gamma: Node, beta: Node, axes: tuple[int, ...],
@@ -493,11 +605,11 @@ def batch_norm_eval(x: Node, gamma: Node, beta: Node, axes: tuple[int, ...],
 
     Stands for (x - mean) * (1 / sqrt(var + eps)) * gamma + beta, where the
     running statistics mean and var are constants with one entry per slot;
-    gradients reach x, gamma and beta.
+    gradients reach x, gamma and beta. Its forward is batch_norm_eval_value's,
+    step by step, keeping the normalized input for gamma's gradient.
     """
-    kept = _norm_shape(x, gamma, beta, axes)
-    inv = 1.0 / np.sqrt(var.reshape(kept) + eps)
-    xn = (x.value - mean.reshape(kept)) * inv
+    kept = _norm_shape(x.shape, gamma.value, beta.value, axes)
+    xn, inv = _normalize_eval(x.value, mean, var, eps, kept)
     gv = gamma.value.reshape(kept)
 
     def rule(g: Array):
@@ -506,4 +618,4 @@ def batch_norm_eval(x: Node, gamma: Node, beta: Node, axes: tuple[int, ...],
         gb = _unbroadcast(g, kept).reshape(beta.shape) if beta.requires_grad else None
         return gx, gg, gb
 
-    return Node(xn * gv + beta.value.reshape(kept), (x, gamma, beta), rule)
+    return Node(_scale_shift(xn, gv, beta.value.reshape(kept)), (x, gamma, beta), rule)

@@ -178,6 +178,51 @@ def test_bad_config_value_exits_2_before_any_output(tmp_path, capsys, command, s
     assert not out.exists()
 
 
+ONE_ROW_BATCH = """
+[data]
+train_size = 161
+test_size = 39
+num_classes = 4
+dim = 16
+
+[model]
+preset = cnn-small
+
+[training]
+epochs = 1
+batch_size = 16
+"""
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train", []),
+    ("train", ["--mode", "pruning"]),
+    ("noise-sweep", []),
+    ("stability-sweep", []),
+])
+def test_a_one_row_minibatch_under_batch_norm_exits_2_before_any_output(tmp_path, capsys, command, extra):
+    # 161 - round(16.1) = 145 training rows = 9 * 16 + 1
+    path = tmp_path / "bad.ini"
+    path.write_text(ONE_ROW_BATCH)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), "--quiet"] + extra) == 2
+    assert "training.batch_size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_mode_flag_is_checked_like_the_config(tmp_path, capsys):
+    # quantization without keep_batchnorm drops cnn-small's batch norms, so a
+    # one-row batch is fine there, but not for the mode --mode asks for
+    path = tmp_path / "q.ini"
+    path.write_text(ONE_ROW_BATCH + "[experiment]\nmodes = quantization\nseeds = 0\n"
+                    "[stability]\nprune_ratios =\ndropout_rates =\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "ok"), "--quiet"]) == 0
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out), "--quiet", "--mode", "none"]) == 2
+    assert "training.batch_size" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_seed_override_exits_2(config_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["train", "--config", str(config_file), "--out", str(out), "--seeds", "1,-2"]) == 2

@@ -185,7 +185,8 @@ def test_a_replaced_config_is_checked_like_a_parsed_one(change, key):
         replace(parse_config(FULL), **change)
 
 
-_INTS = st.one_of(st.integers(-3, 20), st.sampled_from([-2**64, -2**31, 2**31, 2**64, 10**30]))
+_INTS = st.one_of(st.integers(-3, 20),
+                  st.sampled_from([-2**64, -2**31, 2**31, 2**64, 10**30, 10**400, -10**400]))
 _TEXT = st.text(alphabet="abnoe01.-, ", max_size=4)
 _VALUES = st.one_of(
     _INTS.map(str),
@@ -208,6 +209,41 @@ def test_one_bad_value_is_a_config_error_naming_its_section(section, key, value)
     assert replace(cfg, seeds=cfg.seeds) == cfg
     for mode in cfg.modes:
         cfg.train_settings(mode, 0)
+
+
+def test_train_size_beyond_float_range_is_a_config_error():
+    with pytest.raises(ConfigError, match="'data.train_size'"):
+        parse_config("[data]\ntrain_size = 1" + "0" * 400 + "\n")
+
+
+CNN_145_ROWS = "[data]\ntrain_size = 161\ntest_size = 39\nnum_classes = 4\ndim = 16\n[model]\npreset = cnn-small\n"
+MULTITASK = "[data]\nkind = multitask\n[model]\npreset = mlp-multitask\n"
+
+
+@pytest.mark.parametrize("text", [
+    CNN_145_ROWS + "[training]\nbatch_size = 16\n",  # 145 = 9 * 16 + 1
+    "[model]\npreset = cnn-small\n[training]\nbatch_size = 1\n",
+    MULTITASK + "[training]\nbatch_size = 1\n",
+    MULTITASK + "[training]\nbatch_size = 7\n",  # 1800 = 257 * 7 + 1
+    # quantization keeps the batch norms it is told to keep
+    CNN_145_ROWS + "[experiment]\nmodes = quantization\n[training]\nbatch_size = 16\n"
+    "[quantization]\nkeep_batchnorm = true\n[stability]\nprune_ratios =\ndropout_rates =\n",
+    # the stability sweep trains pruning, which keeps them
+    CNN_145_ROWS + "[experiment]\nmodes = quantization\n[training]\nbatch_size = 16\n",
+])
+def test_a_one_row_minibatch_under_batch_norm_is_a_config_error(text):
+    with pytest.raises(ConfigError, match="'training.batch_size'"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("text", [
+    CNN_145_ROWS.replace("cnn-small", "mlp-small") + "[training]\nbatch_size = 16\n",  # no batch norm
+    CNN_145_ROWS + "[training]\nbatch_size = 17\n",  # 145 = 8 * 17 + 9
+    CNN_145_ROWS + "[experiment]\nmodes = quantization\n[training]\nbatch_size = 16\n"
+    "[stability]\nprune_ratios =\ndropout_rates =\n",  # wrap_model drops the batch norms
+])
+def test_a_one_row_minibatch_without_batch_norm_is_accepted(text):
+    parse_config(text)
 
 
 def test_blob_sizes_must_divide_into_classes():

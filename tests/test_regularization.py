@@ -6,8 +6,11 @@ from gradcheck import fd_grad, rel_err
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qreg.training
 from qreg import tensor as T
+from qreg.config import ExperimentConfig
 from qreg.errors import ContractError
+from qreg.experiments import Job, run_job
 from qreg.regularization import (
     EarlyStopper,
     RegularizerConfig,
@@ -43,6 +46,57 @@ def test_weight_decay_zero_alpha_and_empty_list():
     assert float(weight_decay_loss([], 0.5).value) == 0.0
     with pytest.raises(ContractError):
         weight_decay_loss([w], -1.0)
+
+
+def composed_weight_decay(weights, alpha):
+    """weight_decay_loss as the graph of elementary ops it stands for."""
+    total = None
+    for w in weights:
+        term = T.reduce_sum(T.mul(w, w))
+        total = term if total is None else T.add(total, term)
+    return T.mul(total, T.constant(alpha))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_weight_decay_gradient_is_bitwise_the_composed_graph(order):
+    # the decay's gradient reaches W before linear's, as in the composed graph
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal((6, 5))
+    g = rng.standard_normal((6, 3))
+    w0 = rng.standard_normal((3, 5))
+    k0 = rng.standard_normal((2, 1, 3, 3))
+    grads = []
+    for penalty in (weight_decay_loss, composed_weight_decay):
+        w, k, b = T.parameter(w0), T.parameter(k0), T.parameter(np.zeros(3))
+        w.value = np.asarray(w0, order=order)  # Adam leaves Dense weights in Fortran order
+        data = T.reduce_sum(T.mul(T.linear(T.constant(x), w, b), T.constant(g)))
+        data = T.add(data, T.reduce_sum(T.conv2d(T.constant(np.ones((1, 1, 4, 4))), k, padding=1)))
+        T.backward(T.add(data, penalty([w, k], 0.03)))
+        grads.append((w.grad, k.grad))
+    if order == "F":
+        assert grads[0][0].flags.f_contiguous  # no C-order copy on the way
+    for got, want in zip(*grads):
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+WEIGHT_DECAY_CONFIGS = {
+    "mlp-small": dict(num_classes=4, dim=8),
+    "cnn-small": dict(preset="cnn-small", num_classes=4, dim=16),
+    "mlp-multitask": dict(preset="mlp-multitask", data_kind="multitask", num_tasks=3, dim=8),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(WEIGHT_DECAY_CONFIGS))
+def test_weight_decay_runs_are_bitwise_those_of_the_composed_penalty(preset, monkeypatch):
+    cfg = ExperimentConfig(train_size=200, test_size=40, epochs=3, **WEIGHT_DECAY_CONFIGS[preset])
+    job = Job(cfg=cfg, mode="weight_decay", noise=0.2, seed=3)
+    fused = run_job(job)
+    monkeypatch.setattr(qreg.training, "weight_decay_loss", composed_weight_decay)
+    composed = run_job(job)
+    assert fused.record.to_csv_text() == composed.record.to_csv_text()
+    assert fused.state.keys() == composed.state.keys()
+    for name in fused.state:
+        np.testing.assert_array_equal(fused.state[name], composed.state[name], strict=True)
 
 
 def test_dropout_eval_is_identity_and_p_zero_is_identity():
