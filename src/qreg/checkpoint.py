@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .records import write_atomic
 
 MAGIC_MODEL = b"QREG1"
 
@@ -37,7 +38,7 @@ def write_container(path, arrays: dict[str, np.ndarray], magic: bytes = MAGIC_MO
         for d in arr.shape:
             parts.append(struct.pack("<Q", d))
         parts.append(arr.astype("<f8", copy=False).tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def read_container(path, magic: bytes = MAGIC_MODEL) -> dict[str, np.ndarray]:

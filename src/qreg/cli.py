@@ -9,7 +9,7 @@ Common flags: --out DIR overrides [experiment] output_dir, --seeds a,b,c
 overrides the seed list, --quiet silences progress lines. Exit codes: 0 on
 success, 2 for configuration or I/O problems (unknown keys name the offending
 key; unreadable configs and unwritable output directories report the OS
-error), 3 when at least one training run diverged (summaries still cover the
+error), 3 when at least one training run failed (summaries still cover the
 rest).
 
 --seeds, and the --noise and --mode of train as its one noise level and

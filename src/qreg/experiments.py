@@ -32,7 +32,7 @@ from .data import Dataset, NoiseSpec, inject_noise, split, split_count, synth_bl
 from .errors import ConfigError, TrainingError
 from .layers import MODEL_PRESETS, Model
 from .metrics import aggregate_runs
-from .records import RunRecord, fmt
+from .records import RunRecord, fmt, write_atomic
 from .training import MODES, TrainSettings, replay_early_stopping, train
 
 # the multitask protocol early-stops every mode, so the standalone mode is moot
@@ -112,20 +112,27 @@ class JobResult:
 
 
 def run_job(job: Job) -> JobResult:
+    """Train (or replay) one job; no exception escapes, so one bad job cannot end a sweep.
+
+    A TrainingError fails the job with the epochs that completed; any other
+    exception fails it with no epochs and an error that names its type.
+    """
     cfg = job.cfg
-    settings = cfg.train_settings(job.mode, job.seed, job.noise, always_early_stop=job.always_early_stop)
-    if job.twin is not None:
-        return _replay(job, settings)
-    dropout_p = settings.reg.dropout_p if job.mode == "dropout" else 0.0
-    train_ds, val_ds, test_ds = build_datasets(cfg, job.seed, job.noise)
-    model = build_model(cfg, job.seed, dropout_p)
     try:
+        settings = cfg.train_settings(job.mode, job.seed, job.noise, always_early_stop=job.always_early_stop)
+        if job.twin is not None:
+            return _replay(job, settings)
+        dropout_p = settings.reg.dropout_p if job.mode == "dropout" else 0.0
+        train_ds, val_ds, test_ds = build_datasets(cfg, job.seed, job.noise)
+        model = build_model(cfg, job.seed, dropout_p)
         result = train(model, train_ds, val_ds, test_ds, settings)
-    except TrainingError as e:
-        record = e.record if e.record is not None else RunRecord(
-            fingerprint=settings.fingerprint, seed=job.seed, num_tasks=train_ds.num_tasks
-        )
-        return JobResult(job=job, record=record, state=None, error=str(e))
+    except Exception as e:
+        record = e.record if isinstance(e, TrainingError) else None
+        if record is None:
+            record = RunRecord(fingerprint=cfg.fingerprint(job.mode, job.noise, job.always_early_stop),
+                               seed=job.seed, num_tasks=cfg.num_tasks if cfg.data_kind == "multitask" else 0)
+        error = str(e) if isinstance(e, TrainingError) else f"{type(e).__name__}: {e}"
+        return JobResult(job=job, record=record, state=None, error=error)
     return JobResult(job=job, record=result.record, state=result.model.state_dict(), error=None)
 
 
@@ -203,8 +210,15 @@ def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
 
 def _write_rows(path, header: list[str], rows: list[list[str]]) -> None:
     lines = [",".join(header)] + [",".join(row) for row in rows]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
+
+
+def _exit_code(results: list[JobResult], quiet: bool, tail: str = "") -> int:
+    """3 if any run failed, after saying how many unless quiet; else 0."""
+    failures = sum(r.failed for r in results)
+    if failures and not quiet:
+        print(f"{failures} of {len(results)} runs failed{tail}")
+    return 3 if failures else 0
 
 
 def _mean_acc(results: list[JobResult]) -> tuple[float, float]:
@@ -229,10 +243,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, quiet: bool,
         r.record.write_csv(os.path.join(out_dir, f"run_{stem}.csv"))
         if r.state is not None:
             write_container(os.path.join(out_dir, f"checkpoint_{stem}.qreg"), r.state, MAGIC_MODEL)
-    failures = [r for r in results if r.failed]
-    if failures and not quiet:
-        print(f"{len(failures)} of {len(results)} runs failed")
-    return 3 if failures else 0
+    return _exit_code(results, quiet)
 
 
 def cmd_noise_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
@@ -252,7 +263,6 @@ def cmd_noise_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
     ]
     results = run_jobs(jobs, quiet)
     ok = [r for r in results if not r.failed]
-    failures = [r for r in results if r.failed]
 
     rows = [
         [r.job.mode, f"{r.job.noise:g}", str(r.job.seed), fmt(r.record.final_test_acc)]
@@ -276,12 +286,7 @@ def cmd_noise_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
             mean_rows.append([mode, f"{s:g}", fmt(mean), fmt(std), fmt(gain)])
     _write_rows(os.path.join(out_dir, "sweep_mean.csv"),
                 ["mode", "s", "mean_acc", "std_acc", "gain_vs_baseline"], mean_rows)
-
-    if failures:
-        if not quiet:
-            print(f"{len(failures)} of {len(results)} runs failed; summaries cover the rest")
-        return 3
-    return 0
+    return _exit_code(results, quiet, "; summaries cover the rest")
 
 
 def _stability_variants(cfg: ExperimentConfig) -> list[tuple[str, str, ExperimentConfig]]:
@@ -329,7 +334,6 @@ def cmd_stability_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int
     ]
     results = run_jobs(jobs, quiet)
     ok = [r for r in results if not r.failed]
-    failures = [r for r in results if r.failed]
 
     grouped: dict[tuple[str, ExperimentConfig, float], list[JobResult]] = {}
     for r in ok:
@@ -345,12 +349,7 @@ def cmd_stability_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int
             rows.append([mode, label, f"{s:g}", fmt(gain)])
     _write_rows(os.path.join(out_dir, "stability.csv"),
                 ["mode", "hyper", "s", "gain_vs_reference"], rows)
-
-    if failures:
-        if not quiet:
-            print(f"{len(failures)} of {len(results)} runs failed; stability.csv covers the rest")
-        return 3
-    return 0
+    return _exit_code(results, quiet, "; stability.csv covers the rest")
 
 
 def cmd_multitask(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
@@ -372,7 +371,6 @@ def cmd_multitask(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
     ]
     results = run_jobs(jobs, quiet)
     ok = [r for r in results if not r.failed]
-    failures = [r for r in results if r.failed]
 
     grouped: dict[str, list[JobResult]] = {}
     for r in ok:
@@ -387,9 +385,4 @@ def cmd_multitask(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
         rows.append([mode] + cells + [fmt(summary.final_mean["f1_avg"])])
     header = ["mode"] + [f"f1_t{t}" for t in range(cfg.num_tasks)] + ["f1_avg"]
     _write_rows(os.path.join(out_dir, "multitask.csv"), header, rows)
-
-    if failures:
-        if not quiet:
-            print(f"{len(failures)} of {len(results)} runs failed; multitask.csv covers the rest")
-        return 3
-    return 0
+    return _exit_code(results, quiet, "; multitask.csv covers the rest")

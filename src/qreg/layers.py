@@ -5,10 +5,10 @@ A Model is an ordered list of layers plus a classification head tag:
 binary labels). Layers expose their trainable parameters as Nodes and any
 non-trainable state (running statistics) as named numpy buffers.
 
-Each layer has two forwards: `forward` builds graph nodes (train mode, or
-any caller that backpropagates), and `infer` is the eval-mode forward on raw
-arrays, which writes into the slots of a tensor.Workspace. Both run the
-same tensor kernels, so they give the same bits.
+Each layer's `forward` is its train-mode forward: it builds graph nodes,
+updates running statistics and activation scales, and draws dropout masks.
+Its `infer` is the one eval-mode forward: on raw arrays, with all of that
+frozen, writing into the slots of a tensor.Workspace.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def he_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np
 class Layer:
     kind = "layer"
 
-    def forward(self, x: Node, train_mode: bool, rng) -> Node:
+    def forward(self, x: Node, rng) -> Node:
         raise NotImplementedError
 
     def infer(self, x: np.ndarray, ws: T.Workspace) -> np.ndarray:
@@ -68,7 +68,7 @@ class Dense(Layer):
     def forward_with(self, x: Node, weight: Node) -> Node:
         return T.linear(x, weight, self.bias)
 
-    def forward(self, x: Node, train_mode: bool, rng) -> Node:
+    def forward(self, x: Node, rng) -> Node:
         return self.forward_with(x, self.weight)
 
     def infer_with(self, x: np.ndarray, weight: np.ndarray, ws: T.Workspace) -> np.ndarray:
@@ -110,7 +110,7 @@ class Conv2d(Layer):
     def forward_with(self, x: Node, weight: Node) -> Node:
         return T.conv2d(x, weight, self.stride, self.padding, bias=self.bias)
 
-    def forward(self, x: Node, train_mode: bool, rng) -> Node:
+    def forward(self, x: Node, rng) -> Node:
         return self.forward_with(x, self.weight)
 
     def infer_with(self, x: np.ndarray, weight: np.ndarray, ws: T.Workspace) -> np.ndarray:
@@ -131,8 +131,9 @@ class BatchNorm(Layer):
     Eval mode normalizes by the running statistics. Accepts [N, D] input
     (normalizes over N) or [N, C, H, W] (normalizes over N, H, W).
 
-    Each mode is one fused graph node (T.batch_norm, T.batch_norm_eval) that
-    is bit for bit the composition of elementary ops it replaces.
+    Train mode is one fused graph node, T.batch_norm, bit for bit the
+    composition of elementary ops it replaces; `infer` runs
+    T.batch_norm_eval_value.
     """
 
     kind = "batchnorm"
@@ -158,11 +159,8 @@ class BatchNorm(Layer):
         return T.batch_norm_eval_value(x, self.gamma.value, self.beta.value, self._axes(x.shape),
                                        self.running_mean, self.running_var, self.eps, out=out)
 
-    def forward(self, x: Node, train_mode: bool, rng) -> Node:
+    def forward(self, x: Node, rng) -> Node:
         axes = self._axes(x.shape)
-        if not train_mode:
-            return T.batch_norm_eval(x, self.gamma, self.beta, axes,
-                                     self.running_mean, self.running_var, self.eps)
         if x.shape[0] < 2:
             raise ContractError("batchnorm needs a batch of at least 2 in train mode")
         out, mu, var = T.batch_norm(x, self.gamma, self.beta, axes, self.eps)
@@ -209,7 +207,7 @@ class PerTaskNorm(BatchNorm):
 class ReLU(Layer):
     kind = "relu"
 
-    def forward(self, x: Node, train_mode: bool, rng) -> Node:
+    def forward(self, x: Node, rng) -> Node:
         return T.relu(x)
 
     def infer(self, x, ws):
@@ -219,7 +217,7 @@ class ReLU(Layer):
 class Flatten(Layer):
     kind = "flatten"
 
-    def forward(self, x: Node, train_mode: bool, rng) -> Node:
+    def forward(self, x: Node, rng) -> Node:
         n = x.shape[0]
         return T.reshape(x, (n, int(np.prod(x.shape[1:]))))
 
@@ -235,10 +233,10 @@ class Dropout(Layer):
             raise ContractError(f"dropout rate must lie in [0, 1), got {p}")
         self.p = p
 
-    def forward(self, x: Node, train_mode: bool, rng) -> Node:
-        if train_mode and self.p > 0.0 and rng is None:
+    def forward(self, x: Node, rng) -> Node:
+        if self.p > 0.0 and rng is None:
             raise ContractError("dropout in train mode needs an rng")
-        return dropout_forward(x, self.p, train_mode, rng)
+        return dropout_forward(x, self.p, rng)
 
     def infer(self, x, ws):
         return x  # inverted dropout needs no correction in eval mode
@@ -348,7 +346,7 @@ def forward(model: Model, x, rng=None) -> Node:
             v = layer.infer(v, _EVAL_WS)
         return T.constant(v.copy())
     for layer in model.layers:
-        node = layer.forward(node, True, rng)
+        node = layer.forward(node, rng)
     return node
 
 

@@ -138,16 +138,13 @@ def act_scale_update(state: QuantState, batch: np.ndarray, momentum: float) -> Q
 class QuantizedLayer(Layer):
     """Wraps a dense or conv layer with weight and activation fake quantization.
 
-    Forward order in train mode: update the activation scale from the raw
-    (pre-quantization) input, then quantize the input with the updated scale,
-    quantize the weights with freshly computed per-channel scales, and run the
-    wrapped layer's affine map on the quantized pair. Biases are never
-    quantized. Both quantizers sit behind straight-through nodes, so the
-    upstream gradient reaches the latent weights and the input unchanged.
-
-    In eval mode before any train batch has calibrated the activation scale,
-    input quantization is skipped (there is no scale yet); weight
-    quantization still applies.
+    `forward` (train mode) updates the activation scale from the raw
+    (pre-quantization) input, then quantizes the input with the updated
+    scale, quantizes the weights with freshly computed per-channel scales,
+    and runs the wrapped layer's affine map on the quantized pair; `infer`
+    does the same with the scale frozen. Biases are never quantized. Both
+    quantizers sit behind straight-through nodes, so the upstream gradient
+    reaches the latent weights and the input unchanged.
     """
 
     kind = "quantized"
@@ -164,24 +161,20 @@ class QuantizedLayer(Layer):
         self.state = QuantState()
         self.last_ste_pairs: list[tuple[Node, Node]] = []
 
-    def forward(self, x: Node, train_mode: bool, rng) -> Node:
-        self.last_ste_pairs = []
-        if train_mode:
-            act_scale_update(self.state, x.value, self.cfg.ema_momentum)
-        if self.state.calibrated:
-            scale = self.state.act_scale
-            qx = T.straight_through(x, lambda v: fake_quantize(v, self.act_bits, scale))
-            self.last_ste_pairs.append((x, qx))
-        else:
-            qx = x
+    def forward(self, x: Node, rng) -> Node:
+        act_scale_update(self.state, x.value, self.cfg.ema_momentum)
+        scale = self.state.act_scale
+        qx = T.straight_through(x, lambda v: fake_quantize(v, self.act_bits, scale))
         lam_w = weight_scales(self.inner.weight.value)
         qw = T.straight_through(
             self.inner.weight, lambda v: fake_quantize(v, self.weight_bits, lam_w)
         )
-        self.last_ste_pairs.append((self.inner.weight, qw))
+        self.last_ste_pairs = [(x, qx), (self.inner.weight, qw)]
         return self.inner.forward_with(qx, qw)
 
     def infer(self, x: np.ndarray, ws: T.Workspace) -> np.ndarray:
+        """Eval mode. Before a train batch calibrates the activation scale there
+        is none, so input quantization is skipped; weights are always quantized."""
         if self.state.calibrated:
             x = fake_quantize(x, self.act_bits, self.state.act_scale, out=ws.other(x, x.shape))
         w = self.inner.weight.value

@@ -17,6 +17,7 @@ labels.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from .errors import ContractError
@@ -24,6 +25,25 @@ from .errors import ContractError
 
 def fmt(v: float) -> str:
     return f"{v:.6g}"
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to `path` whole or not at all: every output file goes through here.
+
+    The bytes go to a temp file beside `path`, which then replaces it in one
+    os.replace; if anything fails first, the temp file is removed and `path`
+    keeps its old contents (or stays absent).
+    """
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass
@@ -95,5 +115,4 @@ class RunRecord:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv_text())
+        write_atomic(path, self.to_csv_text().encode())

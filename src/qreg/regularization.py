@@ -64,16 +64,16 @@ def weight_decay_loss(weights: list[Node], alpha: float) -> Node:
     return Node(alpha * total, weights, rule)
 
 
-def dropout_forward(x: Node, p: float, train_mode: bool, rng: np.random.Generator | None) -> Node:
-    """Inverted dropout on activations.
+def dropout_forward(x: Node, p: float, rng: np.random.Generator | None) -> Node:
+    """Train-mode inverted dropout on activations.
 
-    Train mode zeroes each entry with probability p and scales survivors by
-    1/(1-p), so the expected activation is unchanged and eval needs no
-    correction. Eval mode returns x untouched.
+    Zeroes each entry with probability p and scales survivors by 1/(1-p), so
+    the expected activation is unchanged and eval (layers.Dropout.infer)
+    needs no correction. p = 0 returns x untouched and needs no rng.
     """
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout rate must lie in [0, 1), got {p}")
-    if not train_mode or p == 0.0:
+    if p == 0.0:
         return x
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
     return T.mul(x, T.constant(mask))

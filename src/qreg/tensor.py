@@ -20,22 +20,21 @@ may be the very array a backward rule returned, shared with other nodes or
 read-only), adds later contributions into a new array, and no rule writes
 into a gradient.
 
-The layers run on three fused nodes: linear (dense affine map), conv2d with
-its bias, and batch_norm / batch_norm_eval. Each replaces a composition of
-the elementary ops above with one node whose forward and backward evaluate
+The layers train on three fused nodes: linear (dense affine map), conv2d
+with its bias, and batch_norm. Each replaces a composition of the
+elementary ops above with one node whose forward and backward evaluate
 that composition's numpy expressions, in the order its graph sums them, so
 values and gradients are bit for bit those of the composed graph. Each
 fused op's docstring names the composition it stands for.
 
-Eval-mode forward (layers.forward) builds no graph. It runs the same
-forward arithmetic on raw arrays: each op's forward is one kernel
-(linear_value, conv2d_value, batch_norm_eval_value, relu_value, and
-quantization.fake_quantize) that the graph node calls too and that takes an
-optional `out=` array to write into (conv2d_value a Workspace). The eval
-path points them at the slots of the one Workspace the layers module keeps:
-scratch memory that every eval-mode forward overwrites, and so outside the
-immutable-value contract. No Node value and no array returned to a caller
-may point into a slot.
+Eval-mode forward (layers.forward) builds no graph. It runs raw-array
+kernels that take an optional `out=` array to write into (conv2d_value a
+Workspace): linear_value, conv2d_value and relu_value, which the graph
+nodes call for their forward too, batch_norm_eval_value, and
+quantization.fake_quantize. The eval path points them at the slots of the
+one Workspace the layers module keeps: scratch memory that every eval-mode
+forward overwrites, and so outside the immutable-value contract. No Node
+value and no array returned to a caller may point into a slot.
 """
 
 from __future__ import annotations
@@ -546,14 +545,6 @@ def _scale_shift(xn: Array, gv: Array, bv: Array, out: Array | None = None) -> A
     return np.add(out, bv, out=out)
 
 
-def _normalize_eval(xv: Array, mean: Array, var: Array, eps: float, kept: tuple[int, ...],
-                    out: Array | None = None) -> tuple[Array, Array]:
-    """((x - mean) * inv, inv) with inv = 1 / sqrt(var + eps); `out` may be xv itself."""
-    inv = 1.0 / np.sqrt(var.reshape(kept) + eps)
-    out = np.subtract(xv, mean.reshape(kept), out=out)
-    return np.multiply(out, inv, out=out), inv
-
-
 def batch_norm(x: Node, gamma: Node, beta: Node, axes: tuple[int, ...], eps: float) -> tuple[Node, Array, Array]:
     """Train-mode batch normalization over `axes` as one node.
 
@@ -593,29 +584,10 @@ def batch_norm(x: Node, gamma: Node, beta: Node, axes: tuple[int, ...], eps: flo
 
 def batch_norm_eval_value(xv: Array, gv: Array, bv: Array, axes: tuple[int, ...], mean: Array,
                           var: Array, eps: float, out: Array | None = None) -> Array:
-    """batch_norm_eval's forward on raw arrays; `out` may be xv itself."""
+    """Eval-mode batch norm on raw arrays, by the running statistics mean and var:
+    (x - mean) * (1 / sqrt(var + eps)) * gamma + beta. `out` may be xv itself."""
     kept = _norm_shape(xv.shape, gv, bv, axes)
-    xn, _ = _normalize_eval(xv, mean, var, eps, kept, out)
-    return _scale_shift(xn, gv.reshape(kept), bv.reshape(kept), out=xn)
-
-
-def batch_norm_eval(x: Node, gamma: Node, beta: Node, axes: tuple[int, ...],
-                    mean: Array, var: Array, eps: float) -> Node:
-    """Eval-mode batch normalization by fixed statistics, as one node.
-
-    Stands for (x - mean) * (1 / sqrt(var + eps)) * gamma + beta, where the
-    running statistics mean and var are constants with one entry per slot;
-    gradients reach x, gamma and beta. Its forward is batch_norm_eval_value's,
-    step by step, keeping the normalized input for gamma's gradient.
-    """
-    kept = _norm_shape(x.shape, gamma.value, beta.value, axes)
-    xn, inv = _normalize_eval(x.value, mean, var, eps, kept)
-    gv = gamma.value.reshape(kept)
-
-    def rule(g: Array):
-        gx = g * gv * inv if x.requires_grad else None
-        gg = _unbroadcast(g * xn, kept).reshape(gamma.shape) if gamma.requires_grad else None
-        gb = _unbroadcast(g, kept).reshape(beta.shape) if beta.requires_grad else None
-        return gx, gg, gb
-
-    return Node(_scale_shift(xn, gv, beta.value.reshape(kept)), (x, gamma, beta), rule)
+    inv = 1.0 / np.sqrt(var.reshape(kept) + eps)
+    out = np.subtract(xv, mean.reshape(kept), out=out)
+    np.multiply(out, inv, out=out)
+    return _scale_shift(out, gv.reshape(kept), bv.reshape(kept), out=out)

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import qreg
 from qreg.cli import main
 
 CONFIG = """
@@ -228,3 +233,26 @@ def test_negative_seed_override_exits_2(config_file, tmp_path, capsys):
     assert main(["train", "--config", str(config_file), "--out", str(out), "--seeds", "1,-2"]) == 2
     assert "experiment.seeds" in capsys.readouterr().err
     assert not out.exists()
+
+
+# PruneSpec accepts any ratio below 1, but this one leaves no neuron of the
+# 256-wide layer, so keep_indices raises a ContractError inside the job
+PRUNE_ALL = (CONFIG.replace("seeds = 0,1", "seeds = 0").replace("modes = none,quantization", "modes = none,pruning")
+             + "\n[pruning]\nratio = 0.999999999999\n")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_job_that_raises_fails_alone_and_the_sweep_exits_3(tmp_path, threads):
+    path = tmp_path / "prune.ini"
+    path.write_text(PRUNE_ALL)
+    out = tmp_path / "out"
+    env = dict(os.environ, QREG_THREADS=threads, PYTHONPATH=os.path.dirname(os.path.dirname(qreg.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "qreg", "noise-sweep", "--config", str(path), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3
+    assert proc.stderr == ""  # no traceback
+    assert "pruning s=0.3 seed=0: FAILED (ContractError: pruning would remove every neuron" in proc.stdout
+    assert proc.stdout.endswith("2 of 4 runs failed; summaries cover the rest\n")
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[0] == "mode,s,seed,final_test_acc"
+    assert [row.split(",")[:3] for row in rows[1:]] == [["none", "0", "0"], ["none", "0.3", "0"]]

@@ -1,9 +1,9 @@
 """Eval-mode forward on reused buffers: bitwise, reuse, escape and allocation checks.
 
 `forward` in eval mode runs each layer's `infer` through the slots of one
-Workspace. These tests hold it to the graph path it replaced (each layer's
-graph `forward` in eval mode, rewrapped as a constant), chunk by chunk and
-through `evaluate`.
+Workspace. These tests hold it, chunk by chunk and through `evaluate`, to a
+reference built from elementary graph ops on fresh arrays (graph_forward),
+which shares no kernel with `infer` but the quantizer and ReLU's maximum.
 """
 
 import tracemalloc
@@ -16,11 +16,22 @@ from qreg import tensor as T
 from qreg.config import ExperimentConfig
 from qreg.data import Dataset
 from qreg.experiments import build_datasets, build_model
-from qreg.layers import _EVAL_WS, build_cnn_small, build_mlp_multitask, build_mlp_small, forward
+from qreg.layers import (
+    _EVAL_WS,
+    BatchNorm,
+    Conv2d,
+    Dense,
+    Dropout,
+    build_cnn_small,
+    build_mlp_multitask,
+    build_mlp_small,
+    forward,
+)
 from qreg.losses import binary_ce_loss, cross_entropy_loss, one_hot
 from qreg.pruning import PruneSpec, prune_model
-from qreg.quantization import QuantConfig, QuantizedLayer, wrap_model
+from qreg.quantization import QuantConfig, QuantizedLayer, fake_quantize, weight_scales, wrap_model
 from qreg.training import EVAL_BATCH, Adam, evaluate
+from test_layers import composed_batchnorm, composed_dense, legacy_im2col_conv
 
 SIZES = (1, 511, 512, 513, 1800)
 
@@ -36,11 +47,37 @@ VARIANTS = ("none", "dropout", "pruning", "quantization-uncalibrated", "quantiza
             "quantization-keep-bn")
 
 
+def affine(layer, x, weight):
+    """A Dense or Conv2d layer's affine map as composed graph ops (test_layers)."""
+    if isinstance(layer, Dense):
+        return composed_dense(layer, x, weight)
+    conv = legacy_im2col_conv(x.value, weight.value, layer.stride, layer.padding)
+    return T.add(T.constant(conv), T.reshape(layer.bias, (1, layer.out_channels, 1, 1)))
+
+
+def reference_layer(layer, x):
+    """One layer's eval-mode output from elementary graph ops on fresh arrays."""
+    if isinstance(layer, QuantizedLayer):
+        if layer.state.calibrated:  # before calibration there is no input scale
+            scale = layer.state.act_scale
+            x = T.straight_through(x, lambda v: fake_quantize(v, layer.act_bits, scale))
+        lam = weight_scales(layer.inner.weight.value)
+        w = T.straight_through(layer.inner.weight, lambda v: fake_quantize(v, layer.weight_bits, lam))
+        return affine(layer.inner, x, w)
+    if isinstance(layer, (Dense, Conv2d)):
+        return affine(layer, x, layer.weight)
+    if isinstance(layer, BatchNorm):
+        return composed_batchnorm(layer, x, False)
+    if isinstance(layer, Dropout):
+        return x
+    return layer.forward(x, None)  # ReLU and Flatten act alike in both modes
+
+
 def graph_forward(model, x):
-    """Eval-mode logits through each layer's graph node, the path `infer` replaced."""
+    """Eval-mode logits through reference_layer, layer by layer."""
     node = T.constant(x)
     for layer in model.layers:
-        node = T.constant(layer.forward(node, False, None).value)
+        node = T.constant(reference_layer(layer, node).value)
     return node
 
 

@@ -34,15 +34,15 @@ def test_dense_forward_matches_affine_oracle():
     rng = rng_()
     layer = Dense(5, 3, rng)
     x = rng.standard_normal((7, 5))
-    out = layer.forward(T.constant(x), False, None)
-    np.testing.assert_allclose(out.value, x @ layer.weight.value.T + layer.bias.value, rtol=1e-12)
+    out = layer.infer(x, T.Workspace())
+    np.testing.assert_allclose(out, x @ layer.weight.value.T + layer.bias.value, rtol=1e-12)
 
 
 def test_batchnorm_train_normalizes_and_updates_running_stats():
     rng = rng_()
     layer = BatchNorm(4)
     x = rng.standard_normal((32, 4)) * 3.0 + 1.5
-    out = layer.forward(T.constant(x), True, None).value
+    out = layer.forward(T.constant(x), None).value
     np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
     np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-3)  # eps shifts it slightly
     # running <- 0.9*initial + 0.1*batch, with initial stats (0, 1)
@@ -56,7 +56,7 @@ def test_batchnorm_eval_uses_running_stats():
     layer.running_mean = np.array([1.0, -1.0, 0.5])
     layer.running_var = np.array([4.0, 1.0, 9.0])
     x = rng.standard_normal((5, 3))
-    out = layer.forward(T.constant(x), False, None).value
+    out = layer.infer(x, T.Workspace())
     want = (x - layer.running_mean) / np.sqrt(layer.running_var + BN_EPS)
     np.testing.assert_allclose(out, want, rtol=1e-12)
 
@@ -64,9 +64,9 @@ def test_batchnorm_eval_uses_running_stats():
 def test_batchnorm_rejects_singleton_train_batch():
     layer = BatchNorm(3)
     with pytest.raises(ContractError):
-        layer.forward(T.constant(np.zeros((1, 3))), True, None)
+        layer.forward(T.constant(np.zeros((1, 3))), None)
     # eval mode accepts a single example
-    layer.forward(T.constant(np.zeros((1, 3))), False, None)
+    layer.infer(np.zeros((1, 3)), T.Workspace())
 
 
 def test_batchnorm_gradients_flow_through_batch_stats():
@@ -78,7 +78,7 @@ def test_batchnorm_gradients_flow_through_batch_stats():
     layer.gamma.value = g0.copy()
     layer.beta.value = b0.copy()
     xn = T.parameter(x)
-    out = layer.forward(xn, True, None)
+    out = layer.forward(xn, None)
     weights = rng.standard_normal(out.shape)
     T.backward(T.reduce_sum(T.mul(out, T.constant(weights))))
 
@@ -97,7 +97,7 @@ def test_batchnorm_conv_input_normalizes_per_channel():
     rng = rng_()
     layer = BatchNorm(3)
     x = rng.standard_normal((4, 3, 5, 5)) * 2.0 + 0.7
-    out = layer.forward(T.constant(x), True, None).value
+    out = layer.forward(T.constant(x), None).value
     np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
     np.testing.assert_allclose(layer.running_mean, 0.1 * x.mean(axis=(0, 2, 3)), rtol=1e-12)
 
@@ -109,12 +109,12 @@ def test_per_task_norm_equals_independent_single_feature_norms():
     joint = PerTaskNorm(tasks)
     joint.gamma.value = rng.uniform(0.5, 1.5, size=tasks)
     joint.beta.value = rng.uniform(-1, 1, size=tasks)
-    got = joint.forward(T.constant(x), True, None).value
+    got = joint.forward(T.constant(x), None).value
     for t in range(tasks):
         single = BatchNorm(1)
         single.gamma.value = joint.gamma.value[t : t + 1].copy()
         single.beta.value = joint.beta.value[t : t + 1].copy()
-        want = single.forward(T.constant(x[:, t : t + 1]), True, None).value
+        want = single.forward(T.constant(x[:, t : t + 1]), None).value
         np.testing.assert_allclose(got[:, t : t + 1], want, rtol=1e-12)
         np.testing.assert_allclose(joint.running_mean[t : t + 1], single.running_mean, rtol=1e-12)
         np.testing.assert_allclose(joint.running_var[t : t + 1], single.running_var, rtol=1e-12)
@@ -126,17 +126,17 @@ def test_dropout_layer_contracts():
     layer = Dropout(0.5)
     x = T.constant(np.ones((4, 4)))
     with pytest.raises(ContractError):
-        layer.forward(x, True, None)
-    out = layer.forward(x, False, None)
-    assert out is x
+        layer.forward(x, None)
+    assert layer.infer(x.value, T.Workspace()) is x.value
 
 
 def test_flatten_and_relu():
     x = T.constant(np.arange(24.0).reshape(2, 3, 2, 2))
-    flat = Flatten().forward(x, False, None)
-    assert flat.shape == (2, 12)
-    r = ReLU().forward(T.constant(np.array([[-1.0, 2.0]])), False, None)
-    np.testing.assert_array_equal(r.value, [[0.0, 2.0]])
+    assert Flatten().forward(x, None).shape == (2, 12)
+    assert Flatten().infer(x.value, T.Workspace()).shape == (2, 12)
+    r = np.array([[-1.0, 2.0]])
+    np.testing.assert_array_equal(ReLU().forward(T.constant(r), None).value, [[0.0, 2.0]])
+    np.testing.assert_array_equal(ReLU().infer(r, T.Workspace()), [[0.0, 2.0]])
 
 
 def test_mlp_small_architecture():
@@ -313,7 +313,7 @@ def assert_same_bits(fused, composed):
 def test_dense_node_is_bitwise_the_composed_graph(decay):
     x = np.random.default_rng(0).standard_normal((33, 20))
     make = lambda: Dense(20, 7, np.random.default_rng(1))
-    fused = run_layer(make(), x, lambda l, xn: l.forward(xn, True, None), decay)
+    fused = run_layer(make(), x, lambda l, xn: l.forward(xn, None), decay)
     composed = run_layer(make(), x, lambda l, xn: composed_dense(l, xn, l.weight), decay)
     assert_same_bits(fused, composed)
 
@@ -324,7 +324,7 @@ def test_dense_node_is_bitwise_the_composed_graph(decay):
 def test_conv_node_is_bitwise_the_composed_graph(stride, padding, decay):
     x = np.random.default_rng(0).standard_normal((5, 3, 7, 6))
     make = lambda: Conv2d(3, 4, 3, np.random.default_rng(1), stride=stride, padding=padding)
-    fused = run_layer(make(), x, lambda l, xn: l.forward(xn, True, None), decay)
+    fused = run_layer(make(), x, lambda l, xn: l.forward(xn, None), decay)
     composed = run_layer(make(), x, lambda l, xn: composed_conv(l, xn, l.weight), decay)
     assert_same_bits(fused, composed)
 
@@ -415,8 +415,14 @@ def _bn_layer(cls, dim, seed=2):
 @pytest.mark.parametrize("cls,dim,shape", BN_CASES)
 def test_batchnorm_node_is_bitwise_the_composed_graph(cls, dim, shape, train_mode):
     x = np.random.default_rng(0).standard_normal(shape) * 2.0 + 0.4
-    fused = run_layer(_bn_layer(cls, dim), x, lambda l, xn: l.forward(xn, train_mode, None))
-    composed = run_layer(_bn_layer(cls, dim), x, lambda l, xn: composed_batchnorm(l, xn, train_mode))
+    if not train_mode:  # eval mode builds no graph: infer against the composed graph's value
+        layer, ref = _bn_layer(cls, dim), _bn_layer(cls, dim)
+        got = {"out": layer.infer(x, T.Workspace()), **dict(layer.named_buffers())}
+        want = {"out": composed_batchnorm(ref, T.constant(x), False).value, **dict(ref.named_buffers())}
+        assert_same_bits(got, want)
+        return
+    fused = run_layer(_bn_layer(cls, dim), x, lambda l, xn: l.forward(xn, None))
+    composed = run_layer(_bn_layer(cls, dim), x, lambda l, xn: composed_batchnorm(l, xn, True))
     assert_same_bits(fused, composed)
 
 
@@ -424,7 +430,7 @@ def test_batchnorm_node_without_input_gradient():
     # a constant input: only gamma and beta need gradients
     x = np.random.default_rng(0).standard_normal((8, 3, 2, 2))
     results = []
-    for fn in (lambda l, xn: l.forward(xn, True, None), lambda l, xn: composed_batchnorm(l, xn, True)):
+    for fn in (lambda l, xn: l.forward(xn, None), lambda l, xn: composed_batchnorm(l, xn, True)):
         layer = _bn_layer(BatchNorm, 3)
         out = fn(layer, T.constant(x))
         T.backward(T.reduce_sum(T.mul(out, T.constant(np.cos(out.value)))))
@@ -435,7 +441,7 @@ def test_batchnorm_node_without_input_gradient():
 COMPOSED_LAYERS = {
     (Dense, "forward_with"): composed_dense,
     (Conv2d, "forward_with"): composed_conv,
-    (BatchNorm, "forward"): lambda self, x, train_mode, rng: composed_batchnorm(self, x, train_mode),
+    (BatchNorm, "forward"): lambda self, x, rng: composed_batchnorm(self, x, True),
 }
 
 TRAIN_INI = """
@@ -501,14 +507,6 @@ def test_fused_nodes_match_finite_differences():
         args = [uniform(rng, shape), uniform(rng, (shape[1],), 0.5, 1.5), uniform(rng, (shape[1],))]
         check_grads(lambda x, g, b: T.batch_norm(x, g, b, axes, BN_EPS)[0],
                     lambda x, g, b: bn_np(x, g, b, axes), args, rng)
-        mean, var = uniform(rng, (shape[1],)), uniform(rng, (shape[1],), 0.5, 2.0)
-        kept = tuple(1 if i in axes else d for i, d in enumerate(shape))
-        check_grads(
-            lambda x, g, b: T.batch_norm_eval(x, g, b, axes, mean, var, BN_EPS),
-            lambda x, g, b: (x - mean.reshape(kept)) / np.sqrt(var.reshape(kept) + BN_EPS)
-            * g.reshape(kept) + b.reshape(kept),
-            args, rng,
-        )
 
 
 def test_fused_nodes_keep_the_shape_checks():
@@ -526,11 +524,8 @@ def test_fused_nodes_keep_the_shape_checks():
     with pytest.raises(DimensionError):
         T.batch_norm(c(np.zeros((4, 3))), c(np.ones(2)), c(np.zeros(3)), (0,), BN_EPS)
     with pytest.raises(DimensionError):
-        T.batch_norm_eval(c(np.zeros((4, 3))), c(np.ones(3)), c(np.zeros(2)), (0,),
-                          np.zeros(3), np.ones(3), BN_EPS)
+        Dense(3, 2, rng_()).forward(c(np.zeros((4, 5))), None)
     with pytest.raises(DimensionError):
-        Dense(3, 2, rng_()).forward(c(np.zeros((4, 5))), False, None)
+        BatchNorm(3).forward(c(np.zeros((4, 3, 2))), None)
     with pytest.raises(DimensionError):
-        BatchNorm(3).forward(c(np.zeros((4, 3, 2))), True, None)
-    with pytest.raises(DimensionError):
-        BatchNorm(3).forward(c(np.zeros((4, 2))), False, None)
+        BatchNorm(3).infer(np.zeros((4, 2)), T.Workspace())

@@ -161,7 +161,7 @@ def test_wrapper_train_forward_matches_manual_composition():
     rng = np.random.default_rng(24)
     layer, qlayer = quantized_dense(rng)
     x = rng.uniform(-1.5, 1.5, size=(8, 6))
-    out = qlayer.forward(T.constant(x), True, None).value
+    out = qlayer.forward(T.constant(x), None).value
 
     lam_x = np.abs(x).max()  # first batch calibrates to the raw input peak
     qx = fake_quantize(x, 4, lam_x)
@@ -173,10 +173,10 @@ def test_wrapper_updates_scale_before_quantizing_input():
     rng = np.random.default_rng(25)
     layer, qlayer = quantized_dense(rng)
     first = np.ones((2, 6))
-    qlayer.forward(T.constant(first), True, None)
+    qlayer.forward(T.constant(first), None)
     assert qlayer.state.act_scale == 1.0
     second = np.full((2, 6), 3.0)
-    out = qlayer.forward(T.constant(second), True, None).value
+    out = qlayer.forward(T.constant(second), None).value
     lam = 0.99 * 1.0 + 0.01 * 3.0
     assert abs(qlayer.state.act_scale - lam) < 1e-12
     qx = fake_quantize(second, 4, lam)
@@ -188,7 +188,7 @@ def test_eval_before_calibration_skips_input_quantization():
     rng = np.random.default_rng(26)
     layer, qlayer = quantized_dense(rng)
     x = rng.uniform(-1, 1, size=(3, 6))
-    out = qlayer.forward(T.constant(x), False, None).value
+    out = qlayer.infer(x, T.Workspace())
     qw = fake_quantize(layer.weight.value, 4, weight_scales(layer.weight.value))
     np.testing.assert_array_equal(out, x @ qw.T + layer.bias.value)
     assert not qlayer.state.calibrated
@@ -197,11 +197,11 @@ def test_eval_before_calibration_skips_input_quantization():
 def test_eval_mode_is_deterministic_and_frozen():
     rng = np.random.default_rng(27)
     _, qlayer = quantized_dense(rng)
-    qlayer.forward(T.constant(rng.uniform(-1, 1, (4, 6))), True, None)
+    qlayer.forward(T.constant(rng.uniform(-1, 1, (4, 6))), None)
     lam = qlayer.state.act_scale
     x = rng.uniform(-1, 1, (5, 6))
-    a = qlayer.forward(T.constant(x), False, None).value
-    b = qlayer.forward(T.constant(x), False, None).value
+    a = qlayer.infer(x, T.Workspace())
+    b = qlayer.infer(x, T.Workspace())
     assert np.array_equal(a, b)
     assert qlayer.state.act_scale == lam  # eval never moves the EMA
 
@@ -210,7 +210,7 @@ def test_ste_gradients_bitwise_through_quantizers():
     rng = np.random.default_rng(29)
     layer, qlayer = quantized_dense(rng)
     x = T.parameter(rng.uniform(-1, 1, (8, 6)))
-    out = qlayer.forward(x, True, None)
+    out = qlayer.forward(x, None)
     weights = rng.standard_normal(out.shape)
     T.backward(T.reduce_sum(T.mul(out, T.constant(weights))))
     for raw, quant in qlayer.last_ste_pairs:

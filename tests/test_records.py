@@ -1,8 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
+from qreg.checkpoint import write_container
 from qreg.errors import ContractError
-from qreg.records import EpochRow, RunRecord, fmt
+from qreg.experiments import _write_rows
+from qreg.records import EpochRow, RunRecord, fmt, write_atomic
 
 
 def make_row(epoch, **over):
@@ -64,3 +68,42 @@ def test_write_csv_round_trips_bytes(tmp_path):
     # parseable by numpy as a sanity check on the numeric block
     data = np.genfromtxt(path, delimiter=",", skip_header=1)
     assert data.shape == (2, 6)
+
+
+# every writer of an output file, each writing content that depends on i
+WRITERS = {
+    "run csv": lambda path, i: RunRecord(fingerprint="abc", seed=0, rows=[make_row(1, test_acc=i / 4)]).write_csv(path),
+    "summary csv": lambda path, i: _write_rows(path, ["mode", "seed"], [["none", str(i)]]),
+    "checkpoint": lambda path, i: write_container(path, {"w": np.full(3, float(i))}),
+}
+
+
+def failing_replace(src, dst):
+    raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_write_that_fails_before_the_rename_keeps_the_old_file(writer, tmp_path, monkeypatch):
+    write, path = WRITERS[writer], tmp_path / "out"
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            write(path, 0)
+    assert list(tmp_path.iterdir()) == []  # neither the file nor a temp file
+    write(path, 1)
+    old = path.read_bytes()
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            write(path, 2)
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == old
+    write(path, 2)
+    assert path.read_bytes() != old
+
+
+def test_a_write_that_fails_midway_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(TypeError):
+        write_atomic(path, "text, not bytes")
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"old\n"

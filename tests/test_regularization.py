@@ -11,6 +11,7 @@ from qreg import tensor as T
 from qreg.config import ExperimentConfig
 from qreg.errors import ContractError
 from qreg.experiments import Job, run_job
+from qreg.layers import Dropout
 from qreg.regularization import (
     EarlyStopper,
     RegularizerConfig,
@@ -101,15 +102,15 @@ def test_weight_decay_runs_are_bitwise_those_of_the_composed_penalty(preset, mon
 
 def test_dropout_eval_is_identity_and_p_zero_is_identity():
     x = T.constant(np.ones((3, 3)))
-    assert dropout_forward(x, 0.5, False, None) is x
-    assert dropout_forward(x, 0.0, True, np.random.default_rng(0)) is x
+    assert Dropout(0.5).infer(x.value, T.Workspace()) is x.value
+    assert dropout_forward(x, 0.0, np.random.default_rng(0)) is x
 
 
 def test_dropout_train_mask_values_and_rates():
     rng = np.random.default_rng(41)
     p = 0.3
     x = T.constant(np.ones((400, 250)))
-    out = dropout_forward(x, p, True, rng).value
+    out = dropout_forward(x, p, rng).value
     vals = np.unique(out)
     assert set(np.round(vals, 12)) <= {0.0, round(1.0 / (1.0 - p), 12)}
     # 1e5 entries: zero fraction within 1% of p, mean within 1% of 1
@@ -120,29 +121,29 @@ def test_dropout_train_mask_values_and_rates():
 def test_dropout_expectation_preserved_for_general_inputs():
     rng = np.random.default_rng(42)
     x = rng.uniform(0.5, 2.0, size=(500, 200))
-    out = dropout_forward(T.constant(x), 0.2, True, np.random.default_rng(7)).value
+    out = dropout_forward(T.constant(x), 0.2, np.random.default_rng(7)).value
     assert abs(out.mean() / x.mean() - 1.0) < 0.01
 
 
 def test_dropout_gradient_masks_match_forward():
     rng = np.random.default_rng(43)
     x = T.parameter(np.ones((10, 10)))
-    out = dropout_forward(x, 0.4, True, rng)
+    out = dropout_forward(x, 0.4, rng)
     T.backward(T.reduce_sum(out))
     np.testing.assert_array_equal(x.grad, out.value)  # grad is the mask itself
 
 
 def test_dropout_seed_determinism():
     x = T.constant(np.ones((20, 20)))
-    a = dropout_forward(x, 0.5, True, np.random.default_rng(5)).value
-    b = dropout_forward(x, 0.5, True, np.random.default_rng(5)).value
+    a = dropout_forward(x, 0.5, np.random.default_rng(5)).value
+    b = dropout_forward(x, 0.5, np.random.default_rng(5)).value
     assert np.array_equal(a, b)
 
 
 def test_dropout_rejects_p_one():
     x = T.constant(np.ones((2, 2)))
     with pytest.raises(ContractError):
-        dropout_forward(x, 1.0, True, np.random.default_rng(0))
+        dropout_forward(x, 1.0, np.random.default_rng(0))
 
 
 def test_smooth_labels_binary_worked_example():
