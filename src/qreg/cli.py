@@ -12,10 +12,11 @@ key; unreadable configs and unwritable output directories report the OS
 error), 3 when at least one training run failed (summaries still cover the
 rest).
 
---seeds, and the --noise and --mode of train as its one noise level and
-mode, enter the ExperimentConfig through dataclasses.replace, which checks them as it checks
-the INI keys (see qreg.config): a bad value exits 2, naming its key, before
-any output directory exists.
+--seeds is read as experiment.seeds is, by qreg.config.read_value. It, and
+the --noise and --mode of train as its one noise level and mode, enter the
+ExperimentConfig through dataclasses.replace, so the dataclasses check them as
+they check the INI keys (see qreg.config): a bad value exits 2, naming its
+key, before any output directory exists.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import load_config
+from .config import load_config, read_value
 from .errors import ConfigError
 from .experiments import cmd_multitask, cmd_noise_sweep, cmd_stability_sweep, cmd_train
 
@@ -58,17 +59,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seeds is not None:
-            try:
-                seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-            except ValueError:
-                raise ConfigError(f"expected comma-separated integers, got '{args.seeds}'",
-                                  key="experiment.seeds") from None
-            cfg = replace(cfg, seeds=seeds)
+            cfg = replace(cfg, seeds=read_value(args.seeds, cfg.seeds, "experiment.seeds"))
         out_dir = args.out if args.out is not None else cfg.output_dir
         if args.command == "train":
-            cfg = replace(cfg, noise_levels=(args.noise,))  # the one level train runs
-            if args.mode is not None:
-                cfg = replace(cfg, modes=(args.mode,))
             return cmd_train(cfg, out_dir, args.quiet, mode=args.mode, noise=args.noise)
         if args.command == "noise-sweep":
             return cmd_noise_sweep(cfg, out_dir, args.quiet)

@@ -1,14 +1,17 @@
 """INI experiment configuration: parsing, validation, fingerprinting.
 
-Every key has a default, so the minimal valid config is an empty file. Unknown
-sections or keys are errors rather than warnings; a typo that silently falls
-back to a default would invalidate a whole sweep.
+SCHEMA is the one list of sections and keys: it maps each INI key to the
+ExperimentConfig field it sets. The dataclasses hold every default and every
+range, so the minimal valid config is an empty file. Unknown sections or keys
+are errors rather than warnings; a typo that silently falls back to a default
+would invalidate a whole sweep.
 
-parse_config only reads types. Which values are legal is checked once, on
-construction: QuantConfig, RegularizerConfig, PruneSpec and TrainSettings
-check their own fields, and ExperimentConfig.__post_init__ checks the rest,
-naming the INI key in a ConfigError. So every ExperimentConfig is valid,
-whether parsed or built with dataclasses.replace.
+parse_config only reads types: each key the text gives is read as the type of
+its field's default and replaces that default. Which values are legal is
+checked once, on construction: QuantConfig, RegularizerConfig, PruneSpec and
+TrainSettings check their own fields, and ExperimentConfig.__post_init__
+checks the rest, naming the INI key in a ConfigError. So every
+ExperimentConfig is valid, whether parsed or built with dataclasses.replace.
 
 A job trains one resolved config; a swept variant is its own config, built
 with dataclasses.replace. The fingerprint identifies a result row's
@@ -29,6 +32,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .errors import ConfigError, ContractError
 from .pruning import PruneSpec
@@ -39,135 +43,75 @@ from .training import MODES, TrainSettings
 DATA_KINDS = ("blobs", "multitask")
 PRESETS = ("mlp-small", "cnn-small", "mlp-multitask")
 
-# section -> key -> default (as the string configparser would produce)
+# section -> INI key -> the ExperimentConfig field it sets; "quant.weight_bits"
+# is the weight_bits field of ExperimentConfig.quant. The defaults of
+# keep_batchnorm and warmup_epochs follow another key; see parse_config.
 SCHEMA: dict[str, dict[str, str]] = {
-    "experiment": {
-        "name": "exp",
-        "seeds": "0,1,2,3,4",
-        "output_dir": "results",
-        "modes": "none,weight_decay,dropout,label_smoothing,early_stopping,pruning,quantization",
-        "noise_levels": "0.0,0.2,0.4",
-    },
-    "data": {
-        "kind": "blobs",
-        "num_classes": "10",
-        "num_tasks": "12",
-        "dim": "32",
-        "train_size": "2000",
-        "test_size": "1000",
-        "separation": "4.5",
-        "val_fraction": "0.1",
-        "data_seed": "7",
-        "noise_exclude_original": "false",
-    },
-    "model": {
-        "preset": "mlp-small",
-    },
-    "training": {
-        "epochs": "30",
-        "batch_size": "64",
-        "learning_rate": "0.001",
-        "beta1": "0.9",
-        "beta2": "0.999",
-        "adam_eps": "1e-8",
-    },
-    "quantization": {
-        "weight_bits": "4",
-        "act_bits": "4",
-        "boundary_bits": "8",
-        "ema_momentum": "0.99",
-        "keep_batchnorm": "",  # empty resolves by model preset
-    },
-    "regularization": {
-        "weight_decay": "0.01",
-        "dropout_rate": "0.1",
-        "label_smoothing": "0.1",
-        "early_stop_patience": "5",
-        "early_stop_metric": "val_loss",
-    },
-    "pruning": {
-        "ratio": "0.75",
-        "warmup_epochs": "-1",  # -1 resolves to floor(0.25 * epochs)
-        "criterion": "lowest",
-    },
-    "stability": {
-        "quant_bits": "4,6,8",
-        "prune_ratios": "0.5,0.75,0.9",
-        "dropout_rates": "0.05,0.1,0.3",
-    },
+    "experiment": {"name": "name", "seeds": "seeds", "output_dir": "output_dir", "modes": "modes",
+                   "noise_levels": "noise_levels"},
+    "data": {"kind": "data_kind", "num_classes": "num_classes", "num_tasks": "num_tasks", "dim": "dim",
+             "train_size": "train_size", "test_size": "test_size", "separation": "separation",
+             "val_fraction": "val_fraction", "data_seed": "data_seed",
+             "noise_exclude_original": "noise_exclude_original"},
+    "model": {"preset": "preset"},
+    "training": {"epochs": "epochs", "batch_size": "batch_size", "learning_rate": "learning_rate",
+                 "beta1": "beta1", "beta2": "beta2", "adam_eps": "adam_eps"},
+    "quantization": {"weight_bits": "quant.weight_bits", "act_bits": "quant.act_bits",
+                     "boundary_bits": "quant.boundary_bits", "ema_momentum": "quant.ema_momentum",
+                     "keep_batchnorm": "quant.keep_batchnorm"},
+    "regularization": {"weight_decay": "reg.weight_decay", "dropout_rate": "reg.dropout_p",
+                       "label_smoothing": "reg.label_smoothing", "early_stop_patience": "reg.early_stop_patience",
+                       "early_stop_metric": "reg.early_stop_metric"},
+    "pruning": {"ratio": "prune.ratio", "warmup_epochs": "prune.warmup_epochs", "criterion": "prune.criterion"},
+    "stability": {"quant_bits": "stability_quant_bits", "prune_ratios": "stability_prune_ratios",
+                  "dropout_rates": "stability_dropout_rates"},
 }
 
 
-def _qualify(section: str, key: str) -> str:
-    return f"{section}.{key}"
-
-
-# sub-config field -> its INI key, where that is not "<section>.<field>"
-_INI_KEYS = {"dropout_p": "regularization.dropout_rate", "mode": "experiment.modes"}
-
-
 @contextmanager
-def _keyed(section: str, key: str | None = None):
-    """Raise a sub-config's ContractError as a ConfigError naming `section.key`,
-    or, without `key`, the INI key of the field the error names."""
+def _keyed(sub: str = "", key: str | None = None):
+    """Raise a ContractError as a ConfigError naming `key`, or, without it, the
+    INI key that sets the field the error names (a field of sub-config `sub`, if given)."""
     try:
         yield
     except ContractError as e:
-        name = _qualify(section, key) if key else _INI_KEYS.get(e.field, _qualify(section, e.field))
-        raise ConfigError(str(e), key=name) from None
+        name = f"{sub}.{e.field}" if sub else e.field
+        key = key or next(f"{s}.{k}" for s, keys in SCHEMA.items() for k, f in keys.items() if f == name)
+        raise ConfigError(str(e), key=key) from None
 
 
-class _Reader:
-    """Typed access to one section with key-precise error messages."""
-
-    def __init__(self, section: str, values: dict[str, str]):
-        self.section = section
-        self.values = values
-
-    def string(self, key: str) -> str:
-        return self.values[key].strip()
-
-    def integer(self, key: str) -> int:
-        v = self.values[key].strip()
+def read_value(raw: str, like, key: str):
+    """`raw` read as the type of `like`: bool, int, float, str, or a tuple of
+    one of them, which a blank value leaves empty. A ConfigError names `key`."""
+    if isinstance(like, tuple):
+        cast = type(like[0])
         try:
-            return int(v)
+            return tuple(cast(p.strip()) for p in raw.split(",") if p.strip())
         except ValueError:
-            raise ConfigError(f"expected an integer, got '{v}'", key=_qualify(self.section, key)) from None
-
-    def floating(self, key: str) -> float:
-        v = self.values[key].strip()
-        try:
-            out = float(v)
-        except ValueError:
-            raise ConfigError(f"expected a number, got '{v}'", key=_qualify(self.section, key)) from None
-        if not math.isfinite(out):
-            raise ConfigError(f"expected a finite number, got '{v}'", key=_qualify(self.section, key))
-        return out
-
-    def boolean(self, key: str) -> bool:
-        v = self.values[key].strip().lower()
+            what = {int: "integers", float: "numbers", str: "names"}[cast]
+            raise ConfigError(f"expected comma-separated {what}, got '{raw}'", key=key) from None
+    v = raw.strip()
+    if isinstance(like, bool):
+        v = v.lower()
         if v in ("true", "yes", "on", "1"):
             return True
         if v in ("false", "no", "off", "0"):
             return False
-        raise ConfigError(f"expected true or false, got '{v}'", key=_qualify(self.section, key))
-
-    def int_list(self, key: str) -> tuple[int, ...]:
-        return self._split(key, int, "integers")
-
-    def float_list(self, key: str) -> tuple[float, ...]:
-        return self._split(key, float, "numbers")
-
-    def str_list(self, key: str) -> tuple[str, ...]:
-        return self._split(key, str, "names")
-
-    def _split(self, key, cast, what):
-        """The listed values in order; a blank value lists none."""
-        raw = self.values[key]
+        raise ConfigError(f"expected true or false, got '{v}'", key=key)
+    if isinstance(like, int):
         try:
-            return tuple(cast(p.strip()) for p in raw.split(",") if p.strip())
+            return int(v)
         except ValueError:
-            raise ConfigError(f"expected comma-separated {what}, got '{raw}'", key=_qualify(self.section, key)) from None
+            raise ConfigError(f"expected an integer, got '{v}'", key=key) from None
+    if isinstance(like, float):
+        try:
+            out = float(v)
+        except ValueError:
+            raise ConfigError(f"expected a number, got '{v}'", key=key) from None
+        if not math.isfinite(out):
+            raise ConfigError(f"expected a finite number, got '{v}'", key=key)
+        return out
+    return v
 
 
 @dataclass(frozen=True)
@@ -286,9 +230,11 @@ class ExperimentConfig:
             raise ConfigError(f"preset '{self.preset}' does not fit data kind '{self.data_kind}'",
                               key="model.preset")
 
-        # the mode and training fields: TrainSettings checks them for every job
-        with _keyed("training"):
+        # the training fields: TrainSettings checks them for every job
+        with _keyed():
             for mode in self.modes:
+                if mode not in MODES:
+                    raise ConfigError(f"unknown mode '{mode}', expected one of {MODES}", key="experiment.modes")
                 self.train_settings(mode, 0)
         # a batch norm in train mode needs two rows in every minibatch
         rows = self.train_size - held_out
@@ -300,13 +246,13 @@ class ExperimentConfig:
                     key="training.batch_size",
                 )
         # each grid value: the sub-config variant it names checks it
-        with _keyed("stability", "quant_bits"):
+        with _keyed(key="stability.quant_bits"):
             for bits in self.stability_quant_bits:
                 replace(self.quant, weight_bits=bits, act_bits=bits)
-        with _keyed("stability", "prune_ratios"):
+        with _keyed(key="stability.prune_ratios"):
             for ratio in self.stability_prune_ratios:
                 replace(self.prune, ratio=ratio)
-        with _keyed("stability", "dropout_rates"):
+        with _keyed(key="stability.dropout_rates"):
             for rate in self.stability_dropout_rates:
                 replace(self.reg, dropout_p=rate)
 
@@ -372,98 +318,39 @@ class ExperimentConfig:
         )
 
 
-def _collect(parser: configparser.ConfigParser) -> dict[str, dict[str, str]]:
-    values = {section: dict(defaults) for section, defaults in SCHEMA.items()}
-    for section in parser.sections():
-        if section not in SCHEMA:
-            raise ConfigError("unknown section", key=section)
-        for key, value in parser.items(section):
-            if key not in SCHEMA[section]:
-                raise ConfigError("unknown key", key=_qualify(section, key))
-            values[section][key] = value
-    return values
-
-
 def parse_config(text: str) -> ExperimentConfig:
-    """The config an INI text describes. Only types are read here; the
-    dataclasses check every value on construction (see the module docstring)."""
+    """The config an INI text describes: each key the text gives replaces its
+    field's default. Only types are read here; the dataclasses check every
+    value on construction (see the module docstring)."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         parser.read_file(io.StringIO(text))
     except configparser.Error as e:
         raise ConfigError(f"invalid config syntax: {e}") from None
-    values = _collect(parser)
+    defaults = ExperimentConfig()
+    fields: dict = {}
+    subs: dict = {"quant": {}, "reg": {}, "prune": {}}
+    for section in parser.sections():
+        if section not in SCHEMA:
+            raise ConfigError("unknown section", key=section)
+        for key, raw in parser.items(section):
+            if key not in SCHEMA[section]:
+                raise ConfigError("unknown key", key=f"{section}.{key}")
+            name = SCHEMA[section][key]
+            if name == "quant.keep_batchnorm" and not raw.strip():
+                continue
+            sub, _, attr = name.rpartition(".")
+            (subs[sub] if sub else fields)[attr] = read_value(raw, attrgetter(name)(defaults), f"{section}.{key}")
 
-    exp = _Reader("experiment", values["experiment"])
-    data = _Reader("data", values["data"])
-    model = _Reader("model", values["model"])
-    training = _Reader("training", values["training"])
-    quant = _Reader("quantization", values["quantization"])
-    reg = _Reader("regularization", values["regularization"])
-    prune = _Reader("pruning", values["pruning"])
-    stab = _Reader("stability", values["stability"])
-
-    preset = model.string("preset")
-    epochs = training.integer("epochs")
     # the two keys whose default follows another key
-    keep_batchnorm = preset == "mlp-multitask"
-    if quant.string("keep_batchnorm"):
-        keep_batchnorm = quant.boolean("keep_batchnorm")
-    warmup = prune.integer("warmup_epochs")
-    if warmup == -1:
+    subs["quant"].setdefault("keep_batchnorm", fields.get("preset", defaults.preset) == "mlp-multitask")
+    if subs["prune"].get("warmup_epochs", -1) == -1:
         # floor(0.25 * epochs); a bad epochs resolves to 0, so that ExperimentConfig reports it
-        warmup = max(epochs, 0) // 4
-
-    with _keyed("quantization"):
-        quant_cfg = QuantConfig(
-            weight_bits=quant.integer("weight_bits"),
-            act_bits=quant.integer("act_bits"),
-            boundary_bits=quant.integer("boundary_bits"),
-            ema_momentum=quant.floating("ema_momentum"),
-            keep_batchnorm=keep_batchnorm,
-        )
-    with _keyed("regularization"):
-        reg_cfg = RegularizerConfig(
-            weight_decay=reg.floating("weight_decay"),
-            dropout_p=reg.floating("dropout_rate"),
-            label_smoothing=reg.floating("label_smoothing"),
-            early_stop_patience=reg.integer("early_stop_patience"),
-            early_stop_metric=reg.string("early_stop_metric"),
-        )
-    with _keyed("pruning"):
-        prune_spec = PruneSpec(ratio=prune.floating("ratio"), warmup_epochs=warmup,
-                               criterion=prune.string("criterion"))
-
-    return ExperimentConfig(
-        name=exp.string("name"),
-        seeds=exp.int_list("seeds"),
-        output_dir=exp.string("output_dir"),
-        modes=exp.str_list("modes"),
-        noise_levels=exp.float_list("noise_levels"),
-        data_kind=data.string("kind"),
-        num_classes=data.integer("num_classes"),
-        num_tasks=data.integer("num_tasks"),
-        dim=data.integer("dim"),
-        train_size=data.integer("train_size"),
-        test_size=data.integer("test_size"),
-        separation=data.floating("separation"),
-        val_fraction=data.floating("val_fraction"),
-        data_seed=data.integer("data_seed"),
-        noise_exclude_original=data.boolean("noise_exclude_original"),
-        preset=preset,
-        epochs=epochs,
-        batch_size=training.integer("batch_size"),
-        learning_rate=training.floating("learning_rate"),
-        beta1=training.floating("beta1"),
-        beta2=training.floating("beta2"),
-        adam_eps=training.floating("adam_eps"),
-        quant=quant_cfg,
-        reg=reg_cfg,
-        prune=prune_spec,
-        stability_quant_bits=stab.int_list("quant_bits"),
-        stability_prune_ratios=stab.float_list("prune_ratios"),
-        stability_dropout_rates=stab.float_list("dropout_rates"),
-    )
+        subs["prune"]["warmup_epochs"] = max(fields.get("epochs", defaults.epochs), 0) // 4
+    for sub, changes in subs.items():
+        with _keyed(sub):
+            subs[sub] = replace(getattr(defaults, sub), **changes)
+    return ExperimentConfig(**fields, **subs)
 
 
 def load_config(path) -> ExperimentConfig:

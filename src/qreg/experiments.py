@@ -221,9 +221,13 @@ def _exit_code(results: list[JobResult], quiet: bool, tail: str = "") -> int:
     return 3 if failures else 0
 
 
-def _mean_acc(results: list[JobResult]) -> tuple[float, float]:
-    summary = aggregate_runs([r.record for r in results])
-    return summary.final_mean["test_acc"], summary.final_std["test_acc"]
+def _summaries(results: list[JobResult], key) -> dict:
+    """key(result) -> aggregate_runs of the records of the non-failed results with that key."""
+    grouped: dict = {}
+    for r in results:
+        if not r.failed:
+            grouped.setdefault(key(r), []).append(r.record)
+    return {k: aggregate_runs(records) for k, records in grouped.items()}
 
 
 # ---------------------------------------------------------------- commands
@@ -231,12 +235,14 @@ def _mean_acc(results: list[JobResult]) -> tuple[float, float]:
 
 def cmd_train(cfg: ExperimentConfig, out_dir: str, quiet: bool,
               mode: str | None = None, noise: float = 0.0) -> int:
-    """Train one job per seed; write a per-run record CSV and checkpoint."""
-    mode = mode if mode is not None else cfg.modes[0]
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode '{mode}'", key="experiment.modes")
+    """Train one job per seed; write a per-run record CSV and checkpoint.
+
+    The config is checked with `mode` (default: the first configured) and
+    `noise` as its only mode and noise level, before any output exists.
+    """
+    cfg = replace(cfg, modes=(mode if mode is not None else cfg.modes[0],), noise_levels=(noise,))
     _make_out_dir(out_dir)
-    jobs = [Job(cfg=cfg, mode=mode, noise=noise, seed=seed) for seed in cfg.seeds]
+    jobs = [Job(cfg=cfg, mode=cfg.modes[0], noise=noise, seed=seed) for seed in cfg.seeds]
     results = run_jobs(jobs, quiet)
     for r in results:
         stem = f"{r.record.fingerprint}_{r.job.seed}"
@@ -271,19 +277,16 @@ def cmd_noise_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
     _write_rows(os.path.join(out_dir, "sweep.csv"),
                 ["mode", "s", "seed", "final_test_acc"], rows)
 
-    grouped: dict[tuple[str, float], list[JobResult]] = {}
-    for r in ok:
-        grouped.setdefault((r.job.mode, r.job.noise), []).append(r)
+    summaries = _summaries(results, lambda r: (r.job.mode, r.job.noise))
     mean_rows = []
     for mode in cfg.modes:
         for s in cfg.noise_levels:
-            bucket = grouped.get((mode, s))
-            base = grouped.get(("none", s))
-            if not bucket or not base:
+            cell, base = summaries.get((mode, s)), summaries.get(("none", s))
+            if cell is None or base is None:
                 continue  # every seed of this cell (or its baseline) failed
-            mean, std = _mean_acc(bucket)
-            gain = mean - _mean_acc(base)[0]
-            mean_rows.append([mode, f"{s:g}", fmt(mean), fmt(std), fmt(gain)])
+            mean = cell.final_mean["test_acc"]
+            gain = mean - base.final_mean["test_acc"]
+            mean_rows.append([mode, f"{s:g}", fmt(mean), fmt(cell.final_std["test_acc"]), fmt(gain)])
     _write_rows(os.path.join(out_dir, "sweep_mean.csv"),
                 ["mode", "s", "mean_acc", "std_acc", "gain_vs_baseline"], mean_rows)
     return _exit_code(results, quiet, "; summaries cover the rest")
@@ -333,19 +336,15 @@ def cmd_stability_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int
         for s in cfg.noise_levels for seed in cfg.seeds
     ]
     results = run_jobs(jobs, quiet)
-    ok = [r for r in results if not r.failed]
 
-    grouped: dict[tuple[str, ExperimentConfig, float], list[JobResult]] = {}
-    for r in ok:
-        grouped.setdefault((r.job.mode, r.job.cfg, r.job.noise), []).append(r)
+    summaries = _summaries(results, lambda r: (r.job.mode, r.job.cfg, r.job.noise))
     rows = []
     for mode, label, variant in variants:
         for s in cfg.noise_levels:
-            bucket = grouped.get((mode, variant, s))
-            ref = grouped.get((mode, cfg, s))
-            if not bucket or not ref:
+            cell, ref = summaries.get((mode, variant, s)), summaries.get((mode, cfg, s))
+            if cell is None or ref is None:
                 continue
-            gain = _mean_acc(bucket)[0] - _mean_acc(ref)[0]
+            gain = cell.final_mean["test_acc"] - ref.final_mean["test_acc"]
             rows.append([mode, label, f"{s:g}", fmt(gain)])
     _write_rows(os.path.join(out_dir, "stability.csv"),
                 ["mode", "hyper", "s", "gain_vs_reference"], rows)
@@ -370,17 +369,13 @@ def cmd_multitask(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
         for mode in modes for seed in cfg.seeds
     ]
     results = run_jobs(jobs, quiet)
-    ok = [r for r in results if not r.failed]
 
-    grouped: dict[str, list[JobResult]] = {}
-    for r in ok:
-        grouped.setdefault(r.job.mode, []).append(r)
+    summaries = _summaries(results, lambda r: r.job.mode)
     rows = []
     for mode in modes:
-        bucket = grouped.get(mode)
-        if not bucket:
+        summary = summaries.get(mode)
+        if summary is None:
             continue
-        summary = aggregate_runs([r.record for r in bucket])
         cells = [fmt(summary.final_mean[f"f1_t{t}"]) for t in range(cfg.num_tasks)]
         rows.append([mode] + cells + [fmt(summary.final_mean["f1_avg"])])
     header = ["mode"] + [f"f1_t{t}" for t in range(cfg.num_tasks)] + ["f1_avg"]

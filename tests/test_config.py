@@ -1,4 +1,6 @@
 from dataclasses import FrozenInstanceError, replace
+from operator import attrgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -359,3 +361,61 @@ def test_cmd_train_file_names_are_pinned(tmp_path, mode, noise, fp):
     cfg = replace(parse_config(FULL), seeds=(1,))  # seeds stay out of the fingerprint
     assert cmd_train(cfg, str(tmp_path), quiet=True, mode=mode, noise=noise) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"checkpoint_{fp}_1.qreg", f"run_{fp}_1.csv"]
+
+
+# a valid non-default value for every key in SCHEMA; a key missing here fails
+# the coverage test below
+NON_DEFAULT = {
+    "experiment.name": "other", "experiment.seeds": "1", "experiment.output_dir": "elsewhere",
+    "experiment.modes": "none", "experiment.noise_levels": "0.3",
+    "data.kind": "multitask", "data.num_classes": "5", "data.num_tasks": "11", "data.dim": "16",
+    "data.train_size": "2010", "data.test_size": "990", "data.separation": "3.0", "data.val_fraction": "0.2",
+    "data.data_seed": "8", "data.noise_exclude_original": "true",
+    "model.preset": "cnn-small",
+    "training.epochs": "20", "training.batch_size": "32", "training.learning_rate": "0.002",
+    "training.beta1": "0.8", "training.beta2": "0.99", "training.adam_eps": "1e-7",
+    "quantization.weight_bits": "6", "quantization.act_bits": "6", "quantization.boundary_bits": "7",
+    "quantization.ema_momentum": "0.9", "quantization.keep_batchnorm": "true",
+    "regularization.weight_decay": "0.02", "regularization.dropout_rate": "0.2",
+    "regularization.label_smoothing": "0.2", "regularization.early_stop_patience": "3",
+    "regularization.early_stop_metric": "val_accuracy",
+    "pruning.ratio": "0.5", "pruning.warmup_epochs": "3", "pruning.criterion": "highest",
+    "stability.quant_bits": "5", "stability.prune_ratios": "0.6", "stability.dropout_rates": "0.2",
+}
+
+
+@pytest.mark.parametrize("section, key", [(s, k) for s, keys in SCHEMA.items() for k in keys])
+def test_fingerprint_covers_exactly_the_keys_outside_experiment_and_stability(section, key):
+    text = f"[{section}]\n{key} = {NON_DEFAULT[f'{section}.{key}']}\n"
+    if (section, key) == ("data", "kind"):
+        text += "[model]\npreset = mlp-multitask\n"  # the only preset that fits multitask data
+    cfg, default = parse_config(text), ExperimentConfig()
+    field = attrgetter(SCHEMA[section][key])
+    assert field(cfg) != field(default)
+    changed = cfg.fingerprint("none", 0.0) != default.fingerprint("none", 0.0)
+    assert changed == (section not in ("experiment", "stability"))
+
+
+def _readme_config_table() -> list[tuple[str, str]]:
+    """(section.key, default cell) of each key in the README "Configuration" table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| section.key | default | meaning |\n|---|---|---|\n")[1].split("\n\n")[0]
+    rows = []
+    for line in table.splitlines():
+        keys, defaults = (cell.split(" / ") for cell in line.split(" | ")[:2])
+        section = keys[0].strip("| `").split(".")[0]
+        keys = [k.strip("| `") for k in keys[:1]] + [f"{section}.{k.strip('`')}" for k in keys[1:]]
+        rows += zip(keys, defaults, strict=True)
+    return rows
+
+
+def test_readme_config_table_lists_the_schema_keys():
+    assert sorted(key for key, _ in _readme_config_table()) == sorted(
+        f"{s}.{k}" for s, keys in SCHEMA.items() for k in keys)
+
+
+@pytest.mark.parametrize("key, default", [(k, d.strip("`")) for k, d in _readme_config_table()
+                                          if d not in ("all seven", "by preset")])
+def test_readme_config_defaults_are_the_defaults(key, default):
+    section, name = key.split(".")
+    assert parse_config(f"[{section}]\n{name} = {default}\n") == parse_config("")
