@@ -327,6 +327,8 @@ def parse_config(text: str) -> ExperimentConfig:
         parser.read_file(io.StringIO(text))
     except configparser.Error as e:
         raise ConfigError(f"invalid config syntax: {e}") from None
+    if parser.defaults():  # configparser would copy [DEFAULT] keys into every section
+        raise ConfigError("unknown section", key=parser.default_section)
     defaults = ExperimentConfig()
     fields: dict = {}
     subs: dict = {"quant": {}, "reg": {}, "prune": {}}

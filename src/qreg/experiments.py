@@ -32,7 +32,7 @@ from .data import Dataset, NoiseSpec, inject_noise, split, split_count, synth_bl
 from .errors import ConfigError, TrainingError
 from .layers import MODEL_PRESETS, Model
 from .metrics import aggregate_runs
-from .records import RunRecord, fmt, write_atomic
+from .records import RunRecord, fmt, write_rows as _write_rows
 from .training import MODES, TrainSettings, replay_early_stopping, train
 
 # the multitask protocol early-stops every mode, so the standalone mode is moot
@@ -206,11 +206,6 @@ def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
                 tail = f"f1_avg={fmt(row.f1_avg)}" if row.f1_avg is not None else f"test_acc={fmt(row.test_acc)}"
                 print(f"  {label}: epochs={len(r.record.rows)} {tail}")
     return results
-
-
-def _write_rows(path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)] + [",".join(row) for row in rows]
-    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def _exit_code(results: list[JobResult], quiet: bool, tail: str = "") -> int:

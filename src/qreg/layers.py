@@ -3,7 +3,9 @@
 A Model is an ordered list of layers plus a classification head tag:
 "softmax" (single-task, C classes) or "sigmoid" (multi-task, T independent
 binary labels). Layers expose their trainable parameters as Nodes and any
-non-trainable state (running statistics) as named numpy buffers.
+non-trainable state (running statistics) as named numpy buffers. A layer
+class names the attributes that hold that state once, in its `params` and
+`buffers` tuples; the base class reads both tuples, and so does pruning.
 
 Each layer's `forward` is its train-mode forward: it builds graph nodes,
 updates running statistics and activation scales, and draws dropout masks.
@@ -31,7 +33,12 @@ def he_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np
 
 
 class Layer:
+    """Base layer. `params` names the attributes holding its parameter Nodes
+    and `buffers` those holding its buffer arrays, each in state-dict order."""
+
     kind = "layer"
+    params: tuple[str, ...] = ()
+    buffers: tuple[str, ...] = ()
 
     def forward(self, x: Node, rng) -> Node:
         raise NotImplementedError
@@ -41,13 +48,15 @@ class Layer:
         raise NotImplementedError
 
     def named_parameters(self) -> list[tuple[str, Node]]:
-        return []
+        return [(name, getattr(self, name)) for name in self.params]
 
     def named_buffers(self) -> list[tuple[str, np.ndarray]]:
-        return []
+        return [(name, getattr(self, name)) for name in self.buffers]
 
     def set_buffer(self, name: str, value: np.ndarray) -> None:
-        raise DataError(f"{self.kind} layer has no buffer named '{name}'")
+        if name not in self.buffers:
+            raise DataError(f"{self.kind} layer has no buffer named '{name}'")
+        setattr(self, name, value.copy())
 
 
 class Dense(Layer):
@@ -58,6 +67,7 @@ class Dense(Layer):
     """
 
     kind = "dense"
+    params = ("weight", "bias")
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.in_features = in_features
@@ -78,14 +88,12 @@ class Dense(Layer):
     def infer(self, x, ws):
         return self.infer_with(x, self.weight.value, ws)
 
-    def named_parameters(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
 
 class Conv2d(Layer):
     """2-d convolution layer; weight [out_channels, in_channels, kh, kw]."""
 
     kind = "conv2d"
+    params = ("weight", "bias")
 
     def __init__(
         self,
@@ -119,9 +127,6 @@ class Conv2d(Layer):
     def infer(self, x, ws):
         return self.infer_with(x, self.weight.value, ws)
 
-    def named_parameters(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
 
 class BatchNorm(Layer):
     """Batch normalization over the feature axis.
@@ -137,6 +142,8 @@ class BatchNorm(Layer):
     """
 
     kind = "batchnorm"
+    params = ("gamma", "beta")
+    buffers = ("running_mean", "running_var")
 
     def __init__(self, dim: int, momentum: float = BN_MOMENTUM, eps: float = BN_EPS):
         self.dim = dim
@@ -168,20 +175,6 @@ class BatchNorm(Layer):
         self.running_mean = m * self.running_mean + (1.0 - m) * mu.reshape(self.dim)
         self.running_var = m * self.running_var + (1.0 - m) * var.reshape(self.dim)
         return out
-
-    def named_parameters(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def named_buffers(self):
-        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
-
-    def set_buffer(self, name, value):
-        if name == "running_mean":
-            self.running_mean = value.copy()
-        elif name == "running_var":
-            self.running_var = value.copy()
-        else:
-            super().set_buffer(name, value)
 
 
 class PerTaskNorm(BatchNorm):

@@ -1,18 +1,22 @@
-"""Structured magnitude pruning: remove whole neurons, rebuild the network.
+"""Structured magnitude pruning: remove whole neurons from a copy of the network.
 
 A "neuron" is one output channel of a dense or conv layer: a row of a dense
 weight or one conv filter. Pruning scores each neuron by the L1 norm of its
-weights, drops the floor(ratio * F) lowest-scoring neurons of every hidden
-parametric layer (the head is never touched), and rebuilds downstream layers
-so dimensions stay consistent: following dense layers lose input columns,
-following convs lose input-channel slices, and normalization layers lose the
-matching channels. Removal sets are computed from the pre-pruning weights for
-all layers at once, so the rebuilt network computes exactly what the original
-computes with those neurons' activations forced to zero.
-"""
+weights and drops the floor(ratio * F) lowest-scoring neurons of every hidden
+parametric layer (the head is never touched). Removal sets are computed from
+the pre-pruning weights for all layers at once.
 
+The pruned network is made of shallow copies of the original layers, each
+given sliced copies of its parameters and buffers: a dense or conv layer
+keeps the input columns of the surviving neurons of the layer before it,
+then its own surviving rows, and a normalization layer keeps the surviving
+channels. Each copy's widths are read from its sliced shapes. The copy
+computes exactly what the original computes with the dropped neurons'
+activations forced to zero.
+"""
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -23,6 +27,9 @@ from .layers import BatchNorm, Conv2d, Dense, Dropout, Flatten, Layer, Model, Pe
 from .tensor import parameter
 
 CRITERIA = ("lowest", "highest")
+
+# slack in floor(ratio * F + FLOOR_SLACK), so that 0.3 * 10 drops 3 neurons, not 2
+FLOOR_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,10 @@ class PruneSpec:
     def __post_init__(self):
         if not 0.0 <= self.ratio < 1.0:
             raise ContractError(f"prune ratio must lie in [0, 1), got {self.ratio}", "ratio")
+        # the ratio that drops the neuron of a one-neuron layer is the least
+        # that drops every neuron of a layer of any width
+        if math.floor(self.ratio + FLOOR_SLACK) >= 1:
+            raise ContractError(f"prune ratio {self.ratio} would remove every neuron of a layer", "ratio")
         if self.warmup_epochs < 0:
             raise ContractError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}", "warmup_epochs")
         if self.criterion not in CRITERIA:
@@ -61,13 +72,12 @@ def neuron_norms(weight: np.ndarray) -> np.ndarray:
 def keep_indices(weight: np.ndarray, ratio: float, criterion: str = "lowest") -> np.ndarray:
     """Ascending indices of the neurons that survive pruning at this ratio.
 
-    Drops floor(ratio * F) neurons; ties break toward the lower index. The
-    tiny slack in the floor guards against float artifacts like 0.3*10
-    evaluating just below 3.
+    Drops floor(ratio * F) neurons, up to FLOOR_SLACK; ties break toward
+    the lower index.
     """
     norms = neuron_norms(weight)
     f = norms.shape[0]
-    k_drop = int(math.floor(ratio * f + 1e-9))
+    k_drop = int(math.floor(ratio * f + FLOOR_SLACK))
     if criterion == "lowest":
         order = np.argsort(norms, kind="stable")
     else:
@@ -77,39 +87,6 @@ def keep_indices(weight: np.ndarray, ratio: float, criterion: str = "lowest") ->
     if keep.size == 0:
         raise ContractError("pruning would remove every neuron in a layer")
     return keep
-
-
-def _dense_from(weight: np.ndarray, bias: np.ndarray) -> Dense:
-    layer = Dense.__new__(Dense)
-    layer.in_features = weight.shape[1]
-    layer.out_features = weight.shape[0]
-    layer.weight = parameter(weight.copy())
-    layer.bias = parameter(bias.copy())
-    return layer
-
-
-def _conv_from(weight: np.ndarray, bias: np.ndarray, stride: int, padding: int) -> Conv2d:
-    layer = Conv2d.__new__(Conv2d)
-    layer.out_channels, layer.in_channels = weight.shape[0], weight.shape[1]
-    layer.kernel_size = weight.shape[2]
-    layer.stride = stride
-    layer.padding = padding
-    layer.weight = parameter(weight.copy())
-    layer.bias = parameter(bias.copy())
-    return layer
-
-
-def _norm_from(src: BatchNorm, keep: np.ndarray | None) -> BatchNorm:
-    idx = slice(None) if keep is None else keep
-    if isinstance(src, PerTaskNorm):
-        out = PerTaskNorm(len(src.gamma.value[idx]), src.momentum, src.eps)
-    else:
-        out = BatchNorm(len(src.gamma.value[idx]), src.momentum, src.eps)
-    out.gamma = parameter(src.gamma.value[idx].copy())
-    out.beta = parameter(src.beta.value[idx].copy())
-    out.running_mean = src.running_mean[idx].copy()
-    out.running_var = src.running_var[idx].copy()
-    return out
 
 
 def prune_model(model: Model, spec: PruneSpec) -> Model:
@@ -128,59 +105,36 @@ def prune_model(model: Model, spec: PruneSpec) -> Model:
     head_idx = parametric[-1]
 
     # removal sets come from the original weights, decided for all layers at once
-    keeps: dict[int, np.ndarray] = {}
-    for i in parametric:
-        if i != head_idx:
-            keeps[i] = keep_indices(model.layers[i].weight.value, spec.ratio, spec.criterion)
+    keeps = {i: keep_indices(model.layers[i].weight.value, spec.ratio, spec.criterion)
+             for i in parametric if i != head_idx}
 
     new_layers: list[Layer] = []
-    keep: np.ndarray | None = None  # surviving feature indices of the previous layer
-    spatial: tuple[int, int] | None = None
-    if len(model.input_shape) == 3:
-        spatial = (model.input_shape[1], model.input_shape[2])
-
+    channels = model.input_shape[0]  # output count of the previous layer, before pruning
+    keep = np.arange(channels)  # which of those survive
     for i, layer in enumerate(model.layers):
-        if isinstance(layer, Dense):
+        new = copy.copy(layer)
+        if isinstance(layer, (Dense, Conv2d)):
             w = layer.weight.value
-            if keep is not None:
-                if spatial is not None:
-                    # surviving channels expand to blocks of flattened pixels
-                    h, wd = spatial
-                    cols = (keep[:, None] * (h * wd) + np.arange(h * wd)[None, :]).ravel()
-                else:
-                    cols = keep
-                w = w[:, cols]
-            spatial = None  # features are flat from here on
-            b = layer.bias.value
-            if i in keeps:
-                rows = keeps[i]
-                w, b = w[rows], b[rows]
-                keep = None if rows.size == layer.out_features else rows
+            rows = keeps.get(i, np.arange(w.shape[0]))
+            # viewed as [out, previous channels, rest]: after a flatten, a dense
+            # weight holds a block of w.shape[1] // channels columns per channel
+            taken = w.reshape(w.shape[0], channels, -1)[np.ix_(rows, keep)]  # a copy
+            new.weight = parameter(np.ascontiguousarray(taken).reshape((rows.size, -1) + w.shape[2:]))
+            new.bias = parameter(layer.bias.value[rows])
+            channels, keep = w.shape[0], rows
+            if isinstance(layer, Dense):
+                new.out_features, new.in_features = new.weight.shape
             else:
-                keep = None
-            new_layers.append(_dense_from(w, b))
-        elif isinstance(layer, Conv2d):
-            w = layer.weight.value
-            if keep is not None:
-                w = w[:, keep]
-            b = layer.bias.value
-            if i in keeps:
-                rows = keeps[i]
-                w, b = w[rows], b[rows]
-                keep = None if rows.size == layer.out_channels else rows
-            else:
-                keep = None
-            new_layers.append(_conv_from(w, b, layer.stride, layer.padding))
-            if spatial is not None:
-                h, wd = spatial
-                k, s, p = layer.kernel_size, layer.stride, layer.padding
-                spatial = ((h + 2 * p - k) // s + 1, (wd + 2 * p - k) // s + 1)
+                new.out_channels, new.in_channels = new.weight.shape[:2]
         elif isinstance(layer, BatchNorm):
-            new_layers.append(_norm_from(layer, keep))
-        elif isinstance(layer, (ReLU, Flatten)):
-            new_layers.append(type(layer)())
-        elif isinstance(layer, Dropout):
-            new_layers.append(Dropout(layer.p))
-        else:
+            for name in layer.params:
+                setattr(new, name, parameter(getattr(layer, name).value[keep]))
+            for name in layer.buffers:
+                setattr(new, name, getattr(layer, name)[keep])
+            new.dim = keep.size
+            if isinstance(layer, PerTaskNorm):
+                new.num_tasks = keep.size
+        elif not isinstance(layer, (ReLU, Flatten, Dropout)):
             raise ContractError(f"cannot prune through layer kind '{layer.kind}'")
+        new_layers.append(new)
     return Model(new_layers, model.head, model.out_dim, model.input_shape, name=model.name)

@@ -46,6 +46,19 @@ def write_atomic(path, data: bytes) -> None:
         raise
 
 
+def csv_text(header: list[str], rows: list[list[str]]) -> str:
+    return "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+
+
+def write_rows(path, header: list[str], rows: list[list[str]]) -> None:
+    """Write one CSV file: every record and summary CSV goes through here."""
+    write_atomic(path, csv_text(header, rows).encode())
+
+
+# the metric columns of an epoch row, in CSV order
+METRICS = ("train_loss", "val_loss", "train_acc", "val_acc", "test_acc")
+
+
 @dataclass
 class EpochRow:
     epoch: int
@@ -58,13 +71,7 @@ class EpochRow:
     f1_avg: float | None = None
 
     def metrics(self) -> dict[str, float]:
-        out = {
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "train_acc": self.train_acc,
-            "val_acc": self.val_acc,
-            "test_acc": self.test_acc,
-        }
+        out = {name: getattr(self, name) for name in METRICS}
         if self.f1 is not None:
             for t, v in enumerate(self.f1):
                 out[f"f1_t{t}"] = v
@@ -91,28 +98,25 @@ class RunRecord:
         return self.final_row().test_acc
 
     def header(self) -> list[str]:
-        cols = ["epoch", "train_loss", "val_loss", "train_acc", "val_acc", "test_acc"]
+        cols = ["epoch", *METRICS]
         if self.num_tasks:
             cols += [f"f1_t{t}" for t in range(self.num_tasks)] + ["f1_avg"]
         return cols
 
-    def to_csv_text(self) -> str:
-        lines = [",".join(self.header())]
+    def cells(self) -> list[list[str]]:
+        """One list of CSV cells per epoch row, in header order."""
+        out = []
         for row in self.rows:
-            cells = [
-                str(row.epoch),
-                fmt(row.train_loss),
-                fmt(row.val_loss),
-                fmt(row.train_acc),
-                fmt(row.val_acc),
-                fmt(row.test_acc),
-            ]
+            line = [str(row.epoch)] + [fmt(getattr(row, name)) for name in METRICS]
             if self.num_tasks:
                 if row.f1 is None or len(row.f1) != self.num_tasks:
                     raise ContractError(f"epoch {row.epoch} row lacks {self.num_tasks} F1 values")
-                cells += [fmt(v) for v in row.f1] + [fmt(row.f1_avg)]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+                line += [fmt(v) for v in row.f1] + [fmt(row.f1_avg)]
+            out.append(line)
+        return out
+
+    def to_csv_text(self) -> str:
+        return csv_text(self.header(), self.cells())
 
     def write_csv(self, path) -> None:
-        write_atomic(path, self.to_csv_text().encode())
+        write_rows(path, self.header(), self.cells())

@@ -173,6 +173,9 @@ def _with_key(text, section, key, value):
     ("noise-sweep", "experiment", "seeds", "-1"),
     ("train", "data", "val_fraction", "0.001"),  # holds out round(0.24) = 0 of 240 rows
     ("noise-sweep", "data", "val_fraction", "0.999"),  # holds out all 240
+    # within 1e-9 of 1: drops every neuron of a layer of any width
+    ("noise-sweep", "pruning", "ratio", "0.999999999999"),
+    ("stability-sweep", "stability", "prune_ratios", "0.5,0.999999999999"),
 ])
 def test_bad_config_value_exits_2_before_any_output(tmp_path, capsys, command, section, key, value):
     path = tmp_path / "bad.ini"
@@ -235,19 +238,31 @@ def test_negative_seed_override_exits_2(config_file, tmp_path, capsys):
     assert not out.exists()
 
 
-# PruneSpec accepts any ratio below 1, but this one leaves no neuron of the
-# 256-wide layer, so keep_indices raises a ContractError inside the job
-PRUNE_ALL = (CONFIG.replace("seeds = 0,1", "seeds = 0").replace("modes = none,quantization", "modes = none,pruning")
-             + "\n[pruning]\nratio = 0.999999999999\n")
+PRUNING_SWEEP = (CONFIG.replace("seeds = 0,1", "seeds = 0")
+                 .replace("modes = none,quantization", "modes = none,pruning"))
+
+# runs the CLI with prune_model raising inside every pruning job; forked
+# pool workers inherit the patch
+RAISING_PRUNE = """
+import sys
+import qreg.cli, qreg.training
+from qreg.errors import ContractError
+
+def prune_model(model, spec):
+    raise ContractError("pruning would remove every neuron in a layer")
+
+qreg.training.prune_model = prune_model
+sys.exit(qreg.cli.main(sys.argv[1:]))
+"""
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_a_job_that_raises_fails_alone_and_the_sweep_exits_3(tmp_path, threads):
     path = tmp_path / "prune.ini"
-    path.write_text(PRUNE_ALL)
+    path.write_text(PRUNING_SWEEP)
     out = tmp_path / "out"
     env = dict(os.environ, QREG_THREADS=threads, PYTHONPATH=os.path.dirname(os.path.dirname(qreg.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "qreg", "noise-sweep", "--config", str(path), "--out", str(out)],
+    proc = subprocess.run([sys.executable, "-c", RAISING_PRUNE, "noise-sweep", "--config", str(path), "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 3
     assert proc.stderr == ""  # no traceback
@@ -256,3 +271,11 @@ def test_a_job_that_raises_fails_alone_and_the_sweep_exits_3(tmp_path, threads):
     rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[0] == "mode,s,seed,final_test_acc"
     assert [row.split(",")[:3] for row in rows[1:]] == [["none", "0", "0"], ["none", "0.3", "0"]]
+
+
+def test_a_default_section_exits_2_before_any_output(config_file, tmp_path, capsys):
+    config_file.write_text("[DEFAULT]\nepochs = 5\n" + CONFIG)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config_file), "--out", str(out), "--quiet"]) == 2
+    assert "DEFAULT" in capsys.readouterr().err
+    assert not out.exists()

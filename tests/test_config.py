@@ -90,6 +90,16 @@ def test_unknown_section_is_named_in_the_error():
         parse_config("[optimizer]\nlr = 1\n")
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nepochs = 5\n",  # once parsed silently to the default 30 epochs
+    "[DEFAULT]\nepochs = 5\n[training]\nbatch_size = 16\n",
+    "[DEFAULT]\nepochs = 5\n[data]\ndim = 16\n",
+])
+def test_a_default_section_is_an_unknown_section(text):
+    with pytest.raises(ConfigError, match="'DEFAULT': unknown section"):
+        parse_config(text)
+
+
 def test_unknown_key_is_named_in_the_error():
     with pytest.raises(ConfigError, match="training.epohcs"):
         parse_config("[training]\nepohcs = 5\n")
