@@ -141,12 +141,12 @@ class ExperimentConfig:
 
     preset: str = "mlp-small"
 
-    epochs: int = 30
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
+    epochs: int = TrainSettings.epochs
+    batch_size: int = TrainSettings.batch_size
+    learning_rate: float = TrainSettings.learning_rate
+    beta1: float = TrainSettings.beta1
+    beta2: float = TrainSettings.beta2
+    adam_eps: float = TrainSettings.adam_eps
 
     quant: QuantConfig = field(default_factory=QuantConfig)
     reg: RegularizerConfig = field(default_factory=RegularizerConfig)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -127,13 +127,19 @@ def run_job(job: Job) -> JobResult:
         model = build_model(cfg, job.seed, dropout_p)
         result = train(model, train_ds, val_ds, test_ds, settings)
     except Exception as e:
-        record = e.record if isinstance(e, TrainingError) else None
-        if record is None:
-            record = RunRecord(fingerprint=cfg.fingerprint(job.mode, job.noise, job.always_early_stop),
-                               seed=job.seed, num_tasks=cfg.num_tasks if cfg.data_kind == "multitask" else 0)
-        error = str(e) if isinstance(e, TrainingError) else f"{type(e).__name__}: {e}"
-        return JobResult(job=job, record=record, state=None, error=error)
+        return _failure(job, e)
     return JobResult(job=job, record=result.record, state=result.model.state_dict(), error=None)
+
+
+def _failure(job: Job, e: Exception) -> JobResult:
+    """The result of a job that raised `e`, in run_job or in a worker that died."""
+    cfg = job.cfg
+    record = e.record if isinstance(e, TrainingError) else None
+    if record is None:
+        record = RunRecord(fingerprint=cfg.fingerprint(job.mode, job.noise, job.always_early_stop),
+                           seed=job.seed, num_tasks=cfg.num_tasks if cfg.data_kind == "multitask" else 0)
+    error = str(e) if isinstance(e, TrainingError) else f"{type(e).__name__}: {e}"
+    return JobResult(job=job, record=record, state=None, error=error)
 
 
 def _replay(job: Job, settings: TrainSettings) -> JobResult:
@@ -179,17 +185,24 @@ def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
     """Run every job and return results sorted by job coordinates.
 
     worker_count() > 1 distributes jobs over that many worker processes; the
-    default is serial. Failures do not stop the batch. An early_stopping job
-    whose `none` twin (the same job in every other field) is in the batch is
-    not trained: once the trained jobs are done, run_job replays it from the
-    twin's result in this process, with the bytes training would give.
+    default is serial. Failures do not stop the batch: if a worker dies, the
+    jobs the broken pool loses fail and the finished ones keep their results.
+    An early_stopping job whose `none` twin (the same job in every other
+    field) is in the batch is not trained: once the trained jobs are done,
+    run_job replays it from the twin's result in this process, with the bytes
+    training would give.
     """
     workers = worker_count()
     twins = [_twin(job, jobs) for job in jobs]
     trained = [i for i, t in enumerate(twins) if t is None]
     if workers > 1 and len(trained) > 1:
+        done = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = dict(zip(trained, pool.map(run_job, [jobs[i] for i in trained])))
+            futures = {pool.submit(run_job, jobs[i]): i for i in trained}
+            for future in as_completed(futures):
+                # run_job raises nothing, so an exception here means a worker died
+                i, e = futures[future], future.exception()
+                done[i] = _failure(jobs[i], e) if e else future.result()
     else:
         done = {i: run_job(jobs[i]) for i in trained}
     for i, t in enumerate(twins):

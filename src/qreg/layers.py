@@ -3,9 +3,10 @@
 A Model is an ordered list of layers plus a classification head tag:
 "softmax" (single-task, C classes) or "sigmoid" (multi-task, T independent
 binary labels). Layers expose their trainable parameters as Nodes and any
-non-trainable state (running statistics) as named numpy buffers. A layer
-class names the attributes that hold that state once, in its `params` and
-`buffers` tuples; the base class reads both tuples, and so does pruning.
+non-trainable state (running statistics, activation scales) as named numpy
+buffers. A layer class names the attributes that hold that state once, in
+its `params` and `buffers` tuples: the state dict, checkpoint loading and
+pruning read only those, and a layer's widths are read from its parameter shapes.
 
 Each layer's `forward` is its train-mode forward: it builds graph nodes,
 updates running statistics and activation scales, and draws dropout masks.
@@ -34,7 +35,8 @@ def he_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np
 
 class Layer:
     """Base layer. `params` names the attributes holding its parameter Nodes
-    and `buffers` those holding its buffer arrays, each in state-dict order."""
+    and `buffers` those holding its buffers (float64 arrays or scalars), each
+    in state-dict order."""
 
     kind = "layer"
     params: tuple[str, ...] = ()
@@ -53,11 +55,6 @@ class Layer:
     def named_buffers(self) -> list[tuple[str, np.ndarray]]:
         return [(name, getattr(self, name)) for name in self.buffers]
 
-    def set_buffer(self, name: str, value: np.ndarray) -> None:
-        if name not in self.buffers:
-            raise DataError(f"{self.kind} layer has no buffer named '{name}'")
-        setattr(self, name, value.copy())
-
 
 class Dense(Layer):
     """Affine map y = x W^T + b with weight stored [out_features, in_features].
@@ -68,10 +65,10 @@ class Dense(Layer):
 
     kind = "dense"
     params = ("weight", "bias")
+    out_features = property(lambda self: self.weight.shape[0])
+    in_features = property(lambda self: self.weight.shape[1])
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
-        self.in_features = in_features
-        self.out_features = out_features
         self.weight = T.parameter(he_init(rng, (out_features, in_features), in_features))
         self.bias = T.parameter(np.zeros(out_features))
 
@@ -94,6 +91,8 @@ class Conv2d(Layer):
 
     kind = "conv2d"
     params = ("weight", "bias")
+    out_channels = property(lambda self: self.weight.shape[0])
+    in_channels = property(lambda self: self.weight.shape[1])
 
     def __init__(
         self,
@@ -104,9 +103,6 @@ class Conv2d(Layer):
         stride: int = 1,
         padding: int = 0,
     ):
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
         fan_in = in_channels * kernel_size * kernel_size
@@ -144,9 +140,9 @@ class BatchNorm(Layer):
     kind = "batchnorm"
     params = ("gamma", "beta")
     buffers = ("running_mean", "running_var")
+    dim = property(lambda self: self.gamma.shape[0])
 
     def __init__(self, dim: int, momentum: float = BN_MOMENTUM, eps: float = BN_EPS):
-        self.dim = dim
         self.momentum = momentum
         self.eps = eps
         self.gamma = T.parameter(np.ones(dim))
@@ -186,10 +182,7 @@ class PerTaskNorm(BatchNorm):
     """
 
     kind = "pertasknorm"
-
-    def __init__(self, num_tasks: int, momentum: float = BN_MOMENTUM, eps: float = BN_EPS):
-        super().__init__(num_tasks, momentum, eps)
-        self.num_tasks = num_tasks
+    num_tasks = BatchNorm.dim
 
     def _axes(self, shape):
         if len(shape) != 2:
@@ -257,23 +250,14 @@ class Model:
         self.train_mode = False
 
     def named_parameters(self) -> list[tuple[str, Node]]:
-        out = []
-        for i, layer in enumerate(self.layers):
-            for pname, p in layer.named_parameters():
-                out.append((f"layer{i}.{pname}", p))
-        return out
+        return [(f"layer{i}.{name}", p) for i, layer in enumerate(self.layers) for name, p in layer.named_parameters()]
 
     def parameters(self) -> list[Node]:
         return [p for _, p in self.named_parameters()]
 
     def weight_nodes(self) -> list[Node]:
-        """Dense and conv weight matrices only: the targets of weight decay."""
-        out = []
-        for layer in self.layers:
-            inner = getattr(layer, "inner", layer)
-            if isinstance(inner, (Dense, Conv2d)):
-                out.append(inner.weight)
-        return out
+        """Dense and conv weight matrices only, quantized or not: the targets of weight decay."""
+        return [layer.weight for layer in self.layers if "weight" in layer.params]
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """C-ordered copies of every parameter and buffer, by qualified name."""
@@ -284,31 +268,25 @@ class Model:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        params = dict(self.named_parameters())
-        buffers = {}
-        for i, layer in enumerate(self.layers):
-            for bname, _ in layer.named_buffers():
-                buffers[f"layer{i}.{bname}"] = (layer, bname)
-        expected = set(params) | set(buffers)
-        got = set(state)
-        if expected != got:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
+        """Copy each entry into the parameter or buffer of the same name and shape."""
+        slots = {f"layer{i}.{attr}": (layer, attr)
+                 for i, layer in enumerate(self.layers) for attr in layer.params + layer.buffers}
+        if set(slots) != set(state):
+            missing = sorted(set(slots) - set(state))
+            extra = sorted(set(state) - set(slots))
             raise DataError(f"state dict mismatch: missing {missing}, unexpected {extra}")
         for name, value in state.items():
             value = np.asarray(value, dtype=np.float64)
-            if name in params:
-                if value.shape != params[name].value.shape:
-                    raise DimensionError(
-                        f"parameter '{name}': stored shape {value.shape} vs model {params[name].value.shape}"
-                    )
-                params[name].value = value.copy()
+            layer, attr = slots[name]
+            is_param = attr in layer.params
+            current = getattr(layer, attr).value if is_param else np.asarray(getattr(layer, attr))
+            if value.shape != current.shape:
+                kind = "parameter" if is_param else "buffer"
+                raise DimensionError(f"{kind} '{name}': stored shape {value.shape} vs model {current.shape}")
+            if is_param:
+                getattr(layer, attr).value = value.copy()
             else:
-                layer, bname = buffers[name]
-                current = dict(layer.named_buffers())[bname]
-                if value.shape != np.asarray(current).shape:
-                    raise DimensionError(f"buffer '{name}': stored shape {value.shape} vs model {np.asarray(current).shape}")
-                layer.set_buffer(bname, value)
+                setattr(layer, attr, value.copy())
 
 
 # The eval path's scratch memory, shared by every model this process

@@ -10,9 +10,10 @@ The pruned network is made of shallow copies of the original layers, each
 given sliced copies of its parameters and buffers: a dense or conv layer
 keeps the input columns of the surviving neurons of the layer before it,
 then its own surviving rows, and a normalization layer keeps the surviving
-channels. Each copy's widths are read from its sliced shapes. The copy
-computes exactly what the original computes with the dropped neurons'
-activations forced to zero.
+channels. Nothing else is set: a layer's widths are read from its parameter
+shapes, so the sliced parameters are the whole change. The copy computes
+exactly what the original computes with the dropped neurons' activations
+forced to zero.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .layers import BatchNorm, Conv2d, Dense, Dropout, Flatten, Layer, Model, PerTaskNorm, ReLU
+from .layers import BatchNorm, Conv2d, Dense, Dropout, Flatten, Layer, Model, ReLU
 from .tensor import parameter
 
 CRITERIA = ("lowest", "highest")
@@ -122,18 +123,11 @@ def prune_model(model: Model, spec: PruneSpec) -> Model:
             new.weight = parameter(np.ascontiguousarray(taken).reshape((rows.size, -1) + w.shape[2:]))
             new.bias = parameter(layer.bias.value[rows])
             channels, keep = w.shape[0], rows
-            if isinstance(layer, Dense):
-                new.out_features, new.in_features = new.weight.shape
-            else:
-                new.out_channels, new.in_channels = new.weight.shape[:2]
         elif isinstance(layer, BatchNorm):
             for name in layer.params:
                 setattr(new, name, parameter(getattr(layer, name).value[keep]))
             for name in layer.buffers:
                 setattr(new, name, getattr(layer, name)[keep])
-            new.dim = keep.size
-            if isinstance(layer, PerTaskNorm):
-                new.num_tasks = keep.size
         elif not isinstance(layer, (ReLU, Flatten, Dropout)):
             raise ContractError(f"cannot prune through layer kind '{layer.kind}'")
         new_layers.append(new)

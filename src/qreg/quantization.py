@@ -9,7 +9,8 @@ Weights use one scale per output channel (row of a dense weight, filter of a
 conv kernel), recomputed from the live weights at every forward and treated
 as a constant by the backward pass. Activations use a single scalar scale
 tracked as an exponential moving average of per-batch max|X|, updated only in
-train mode. Gradients cross both quantizers via the straight-through
+train mode, and kept in the buffers `act_scale` and `calibrated` of its
+QuantizedLayer. Gradients cross both quantizers via the straight-through
 estimator: the backward rule is the identity.
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError
-from .layers import BatchNorm, Conv2d, Dense, Layer, Model
+from .layers import BatchNorm, Conv2d, Dense, Layer, Model, PerTaskNorm
 from .tensor import Node
 
 SCALE_FLOOR = 1e-8
@@ -50,17 +51,6 @@ class QuantConfig:
                 raise ContractError(f"{field} must be an integer in [2, 16], got {bits!r}", field)
         if not 0.0 < self.ema_momentum < 1.0:
             raise ContractError(f"ema_momentum must lie in (0, 1), got {self.ema_momentum}", "ema_momentum")
-
-
-class QuantState:
-    """Mutable activation-scale tracker for one quantized layer.
-
-    act_scale is meaningful only once calibrated (first train-mode batch).
-    """
-
-    def __init__(self):
-        self.act_scale: float = 0.0
-        self.calibrated: bool = False
 
 
 def _check_bits(bits: int) -> int:
@@ -115,8 +105,8 @@ def weight_scales(w: np.ndarray) -> np.ndarray:
     return np.maximum(flat.max(axis=1), SCALE_FLOOR)
 
 
-def act_scale_update(state: QuantState, batch: np.ndarray, momentum: float) -> QuantState:
-    """Fold one batch's max|X| into the EMA scale; first call calibrates.
+def act_scale_update(layer: QuantizedLayer, batch: np.ndarray, momentum: float) -> None:
+    """Fold one batch's max|X| into the layer's EMA scale; the first call calibrates.
 
     lambda <- momentum*lambda + (1 - momentum)*max|batch| after calibration;
     the very first batch sets lambda = max|batch| directly.
@@ -127,12 +117,11 @@ def act_scale_update(state: QuantState, batch: np.ndarray, momentum: float) -> Q
     if not np.isfinite(peak):
         raise ContractError("activation batch contains non-finite values")
     peak = max(peak, SCALE_FLOOR)
-    if not state.calibrated:
-        state.act_scale = peak
-        state.calibrated = True
+    if not layer.calibrated:
+        layer.act_scale = peak
+        layer.calibrated = 1.0
     else:
-        state.act_scale = momentum * state.act_scale + (1.0 - momentum) * peak
-    return state
+        layer.act_scale = momentum * layer.act_scale + (1.0 - momentum) * peak
 
 
 class QuantizedLayer(Layer):
@@ -144,10 +133,14 @@ class QuantizedLayer(Layer):
     and runs the wrapped layer's affine map on the quantized pair; `infer`
     does the same with the scale frozen. Biases are never quantized. Both
     quantizers sit behind straight-through nodes, so the upstream gradient
-    reaches the latent weights and the input unchanged.
+    reaches the latent weights and the input unchanged. Its parameters are
+    the wrapped layer's weight and bias Nodes; its buffers, the scale
+    `act_scale` and the flag `calibrated`, read 0.0 until a train batch.
     """
 
     kind = "quantized"
+    params = ("weight", "bias")
+    buffers = ("act_scale", "calibrated")
 
     def __init__(self, inner: Dense | Conv2d, weight_bits: int, act_bits: int, cfg: QuantConfig):
         if not isinstance(inner, (Dense, Conv2d)):
@@ -158,44 +151,26 @@ class QuantizedLayer(Layer):
         self.weight_bits = weight_bits
         self.act_bits = act_bits
         self.cfg = cfg
-        self.state = QuantState()
+        self.weight, self.bias = inner.weight, inner.bias
+        self.act_scale = self.calibrated = 0.0
         self.last_ste_pairs: list[tuple[Node, Node]] = []
 
     def forward(self, x: Node, rng) -> Node:
-        act_scale_update(self.state, x.value, self.cfg.ema_momentum)
-        scale = self.state.act_scale
+        act_scale_update(self, x.value, self.cfg.ema_momentum)
+        scale = self.act_scale
         qx = T.straight_through(x, lambda v: fake_quantize(v, self.act_bits, scale))
-        lam_w = weight_scales(self.inner.weight.value)
-        qw = T.straight_through(
-            self.inner.weight, lambda v: fake_quantize(v, self.weight_bits, lam_w)
-        )
-        self.last_ste_pairs = [(x, qx), (self.inner.weight, qw)]
+        lam_w = weight_scales(self.weight.value)
+        qw = T.straight_through(self.weight, lambda v: fake_quantize(v, self.weight_bits, lam_w))
+        self.last_ste_pairs = [(x, qx), (self.weight, qw)]
         return self.inner.forward_with(qx, qw)
 
     def infer(self, x: np.ndarray, ws: T.Workspace) -> np.ndarray:
         """Eval mode. Before a train batch calibrates the activation scale there
         is none, so input quantization is skipped; weights are always quantized."""
-        if self.state.calibrated:
-            x = fake_quantize(x, self.act_bits, self.state.act_scale, out=ws.other(x, x.shape))
-        w = self.inner.weight.value
+        if self.calibrated:
+            x = fake_quantize(x, self.act_bits, self.act_scale, out=ws.other(x, x.shape))
+        w = self.weight.value
         return self.inner.infer_with(x, fake_quantize(w, self.weight_bits, weight_scales(w)), ws)
-
-    def named_parameters(self):
-        return self.inner.named_parameters()
-
-    def named_buffers(self):
-        return [
-            ("act_scale", np.asarray(self.state.act_scale, dtype=np.float64)),
-            ("calibrated", np.asarray(float(self.state.calibrated))),
-        ]
-
-    def set_buffer(self, name, value):
-        if name == "act_scale":
-            self.state.act_scale = float(value)
-        elif name == "calibrated":
-            self.state.calibrated = bool(float(value))
-        else:
-            super().set_buffer(name, value)
 
 
 def wrap_model(model: Model, cfg: QuantConfig) -> Model:
@@ -212,8 +187,6 @@ def wrap_model(model: Model, cfg: QuantConfig) -> Model:
         raise ContractError("model has no dense or conv layer to quantize")
     first, last = parametric[0], parametric[-1]
     layers: list[Layer] = []
-    from .layers import PerTaskNorm  # local import keeps module load order simple
-
     for i, layer in enumerate(model.layers):
         if isinstance(layer, (Dense, Conv2d)):
             if i == first or i == last:

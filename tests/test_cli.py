@@ -273,6 +273,37 @@ def test_a_job_that_raises_fails_alone_and_the_sweep_exits_3(tmp_path, threads):
     assert [row.split(",")[:3] for row in rows[1:]] == [["none", "0", "0"], ["none", "0.3", "0"]]
 
 
+# runs the CLI with every pruning job killing the process it runs in
+KILLING_PRUNE = """
+import os
+import sys
+import qreg.cli, qreg.training
+
+def prune_model(model, spec):
+    os._exit(1)
+
+qreg.training.prune_model = prune_model
+sys.exit(qreg.cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_killed_pool_worker_fails_its_jobs_and_the_sweep_exits_3(tmp_path):
+    path = tmp_path / "prune.ini"
+    path.write_text(PRUNING_SWEEP)
+    out = tmp_path / "out"
+    env = dict(os.environ, QREG_THREADS="2", PYTHONPATH=os.path.dirname(os.path.dirname(qreg.__file__)))
+    proc = subprocess.run([sys.executable, "-c", KILLING_PRUNE, "noise-sweep", "--config", str(path), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    # which `none` jobs the dying pool takes down with it depends on scheduling
+    assert proc.returncode == 3
+    assert proc.stderr == ""  # no traceback
+    for s in ("0", "0.3"):
+        assert f"pruning s={s} seed=0: FAILED (BrokenProcessPool: " in proc.stdout
+    assert proc.stdout.endswith(" of 4 runs failed; summaries cover the rest\n")
+    assert sorted(os.listdir(out)) == ["sweep.csv", "sweep_mean.csv"]  # no temp file left
+    assert (out / "sweep.csv").read_text().startswith("mode,s,seed,final_test_acc\n")
+
+
 def test_a_default_section_exits_2_before_any_output(config_file, tmp_path, capsys):
     config_file.write_text("[DEFAULT]\nepochs = 5\n" + CONFIG)
     out = tmp_path / "out"

@@ -58,8 +58,8 @@ def affine(layer, x, weight):
 def reference_layer(layer, x):
     """One layer's eval-mode output from elementary graph ops on fresh arrays."""
     if isinstance(layer, QuantizedLayer):
-        if layer.state.calibrated:  # before calibration there is no input scale
-            scale = layer.state.act_scale
+        if layer.calibrated:  # before calibration there is no input scale
+            scale = layer.act_scale
             x = T.straight_through(x, lambda v: fake_quantize(v, layer.act_bits, scale))
         lam = weight_scales(layer.inner.weight.value)
         w = T.straight_through(layer.inner.weight, lambda v: fake_quantize(v, layer.weight_bits, lam))
@@ -127,7 +127,7 @@ def make(preset, variant, seed=2):
 def test_eval_path_is_bitwise_the_graph_path(preset, variant, monkeypatch):
     model = make(preset, variant)
     quantized = [l for l in model.layers if isinstance(l, QuantizedLayer)]
-    assert all(l.state.calibrated != variant.endswith("uncalibrated") for l in quantized)
+    assert all(l.calibrated != variant.endswith("uncalibrated") for l in quantized)
     for n in SIZES:
         ds = dataset(preset, n, seed=n)
         for start in range(0, n, EVAL_BATCH):

@@ -19,7 +19,6 @@ from qreg.losses import cross_entropy_loss, one_hot
 from qreg.quantization import (
     QuantConfig,
     QuantizedLayer,
-    QuantState,
     act_scale_update,
     fake_quantize,
     round_half_away,
@@ -137,18 +136,19 @@ def test_fake_quantize_errors():
 
 
 def test_act_scale_first_batch_calibrates_then_ema():
-    state = QuantState()
-    act_scale_update(state, np.array([0.5, -2.0]), 0.99)
-    assert state.calibrated and state.act_scale == 2.0
-    act_scale_update(state, np.array([4.0]), 0.99)
-    assert abs(state.act_scale - 2.02) < 1e-12  # 0.99*2 + 0.01*4
+    _, qlayer = quantized_dense(np.random.default_rng(0))
+    act_scale_update(qlayer, np.array([0.5, -2.0]), 0.99)
+    assert qlayer.calibrated and qlayer.act_scale == 2.0
+    act_scale_update(qlayer, np.array([4.0]), 0.99)
+    assert abs(qlayer.act_scale - 2.02) < 1e-12  # 0.99*2 + 0.01*4
 
 
 def test_act_scale_update_rejects_bad_momentum():
+    _, qlayer = quantized_dense(np.random.default_rng(0))
     with pytest.raises(ContractError):
-        act_scale_update(QuantState(), np.ones(2), 1.0)
+        act_scale_update(qlayer, np.ones(2), 1.0)
     with pytest.raises(ContractError):
-        act_scale_update(QuantState(), np.ones(2), 0.0)
+        act_scale_update(qlayer, np.ones(2), 0.0)
 
 
 def quantized_dense(rng, in_dim=6, out_dim=4, wbits=4, abits=4, **cfg_kw):
@@ -174,11 +174,11 @@ def test_wrapper_updates_scale_before_quantizing_input():
     layer, qlayer = quantized_dense(rng)
     first = np.ones((2, 6))
     qlayer.forward(T.constant(first), None)
-    assert qlayer.state.act_scale == 1.0
+    assert qlayer.act_scale == 1.0
     second = np.full((2, 6), 3.0)
     out = qlayer.forward(T.constant(second), None).value
     lam = 0.99 * 1.0 + 0.01 * 3.0
-    assert abs(qlayer.state.act_scale - lam) < 1e-12
+    assert abs(qlayer.act_scale - lam) < 1e-12
     qx = fake_quantize(second, 4, lam)
     qw = fake_quantize(layer.weight.value, 4, weight_scales(layer.weight.value))
     np.testing.assert_array_equal(out, qx @ qw.T + layer.bias.value)
@@ -191,19 +191,19 @@ def test_eval_before_calibration_skips_input_quantization():
     out = qlayer.infer(x, T.Workspace())
     qw = fake_quantize(layer.weight.value, 4, weight_scales(layer.weight.value))
     np.testing.assert_array_equal(out, x @ qw.T + layer.bias.value)
-    assert not qlayer.state.calibrated
+    assert not qlayer.calibrated
 
 
 def test_eval_mode_is_deterministic_and_frozen():
     rng = np.random.default_rng(27)
     _, qlayer = quantized_dense(rng)
     qlayer.forward(T.constant(rng.uniform(-1, 1, (4, 6))), None)
-    lam = qlayer.state.act_scale
+    lam = qlayer.act_scale
     x = rng.uniform(-1, 1, (5, 6))
     a = qlayer.infer(x, T.Workspace())
     b = qlayer.infer(x, T.Workspace())
     assert np.array_equal(a, b)
-    assert qlayer.state.act_scale == lam  # eval never moves the EMA
+    assert qlayer.act_scale == lam  # eval never moves the EMA
 
 
 def test_ste_gradients_bitwise_through_quantizers():

@@ -320,7 +320,7 @@ def test_quantization_mode_wraps_and_trains(blob_splits):
     assert res.model is not base
     quantized = [l for l in res.model.layers if isinstance(l, QuantizedLayer)]
     assert len(quantized) == 2
-    assert all(l.state.calibrated for l in quantized)
+    assert all(l.calibrated for l in quantized)
     assert len(res.record.rows) == 3
 
 
