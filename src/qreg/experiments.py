@@ -19,6 +19,7 @@ set by construction.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -175,6 +176,41 @@ def worker_count() -> int:
     return workers
 
 
+def _openblas() -> ctypes.CDLL | None:
+    """The scipy-openblas library numpy loaded, found in /proc/self/maps; None without one."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "libscipy_openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            return lib
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool-worker initializer: run BLAS on one thread in this process.
+
+    A forked worker keeps the parent's BLAS thread count, and workers that
+    each run several oversubscribe the cores. Does nothing when numpy's BLAS
+    is not scipy-openblas.
+    """
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+
+
 def _make_out_dir(out_dir: str) -> None:
     # settle QREG_THREADS first, so a bad value leaves no empty directory behind
     worker_count()
@@ -184,9 +220,11 @@ def _make_out_dir(out_dir: str) -> None:
 def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
     """Run every job and return results sorted by job coordinates.
 
-    worker_count() > 1 distributes jobs over that many worker processes; the
-    default is serial. Failures do not stop the batch: if a worker dies, the
-    jobs the broken pool loses fail and the finished ones keep their results.
+    worker_count() > 1 distributes jobs over that many worker processes, each
+    running BLAS on one thread; the default is serial. Failures do not stop
+    the batch: if a worker dies, the finished jobs keep their results and
+    each job the broken pool loses runs again alone in a fresh one-worker
+    pool, so only a job that kills its own worker fails (BrokenProcessPool).
     An early_stopping job whose `none` twin (the same job in every other
     field) is in the batch is not trained: once the trained jobs are done,
     run_job replays it from the twin's result in this process, with the bytes
@@ -196,12 +234,20 @@ def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
     twins = [_twin(job, jobs) for job in jobs]
     trained = [i for i, t in enumerate(twins) if t is None]
     if workers > 1 and len(trained) > 1:
-        done = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        done, lost = {}, []
+        with _pool(workers) as pool:
             futures = {pool.submit(run_job, jobs[i]): i for i in trained}
             for future in as_completed(futures):
                 # run_job raises nothing, so an exception here means a worker died
-                i, e = futures[future], future.exception()
+                i = futures[future]
+                if future.exception():
+                    lost.append(i)
+                else:
+                    done[i] = future.result()
+        for i in sorted(lost):
+            with _pool(1) as pool:
+                future = pool.submit(run_job, jobs[i])
+                e = future.exception()
                 done[i] = _failure(jobs[i], e) if e else future.result()
     else:
         done = {i: run_job(jobs[i]) for i in trained}

@@ -78,11 +78,16 @@ def fake_quantize(x: np.ndarray, bits: int, scale, out: np.ndarray | None = None
     with one entry per leading-axis slice of x. `out`, when given, receives
     the result and must not overlap x; by default it is a new array in x's
     memory layout.
+
+    Computes copysign(min(floor(|y| + 0.5), q), x) * (scale / q) with
+    y = x * (q / scale), one pass per operation. q / scale > 0, so y has x's
+    signs, and this equals clip(round_half_away(y), -q, q) bit for bit,
+    -0.0 and NaN included.
     """
     q = _check_bits(bits)
     x = np.asarray(x, dtype=np.float64)
     lam = np.asarray(scale, dtype=np.float64)
-    if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
+    if lam.size and not (lam.min() > 0.0 and lam.max() < np.inf):  # NaN fails both
         raise ContractError("quantization scale must be positive and finite")
     if lam.ndim > 0:
         if lam.shape != (x.shape[0],):
@@ -91,8 +96,11 @@ def fake_quantize(x: np.ndarray, bits: int, scale, out: np.ndarray | None = None
             )
         lam = lam.reshape((-1,) + (1,) * (x.ndim - 1))
     y = np.multiply(x, q / lam, out=np.empty_like(x) if out is None else out)
-    round_half_away(y, out=y, sign=x)  # q / lam > 0, so y has x's signs
-    np.clip(y, -q, q, out=y)
+    np.abs(y, out=y)
+    y += 0.5
+    np.floor(y, out=y)
+    np.minimum(y, q, out=y)
+    np.copysign(y, x, out=y)
     return np.multiply(y, lam / q, out=y)
 
 
@@ -109,12 +117,15 @@ def act_scale_update(layer: QuantizedLayer, batch: np.ndarray, momentum: float) 
     """Fold one batch's max|X| into the layer's EMA scale; the first call calibrates.
 
     lambda <- momentum*lambda + (1 - momentum)*max|batch| after calibration;
-    the very first batch sets lambda = max|batch| directly.
+    the very first batch sets lambda = max|batch| directly. max|X| is taken
+    as max(max X, -min X), with no |X| temporary. A NaN or infinite entry
+    raises a ContractError.
     """
     if not 0.0 < momentum < 1.0:
         raise ContractError(f"ema momentum must lie in (0, 1), got {momentum}")
-    peak = float(np.abs(batch).max()) if np.asarray(batch).size else 0.0
-    if not np.isfinite(peak):
+    batch = np.asarray(batch)
+    peak = max(float(batch.max()), -float(batch.min())) if batch.size else 0.0
+    if not np.isfinite(peak):  # a NaN is both the max and the min
         raise ContractError("activation batch contains non-finite values")
     peak = max(peak, SCALE_FLOOR)
     if not layer.calibrated:

@@ -25,7 +25,11 @@ with its bias, and batch_norm. Each replaces a composition of the
 elementary ops above with one node whose forward and backward evaluate
 that composition's numpy expressions, in the order its graph sums them, so
 values and gradients are bit for bit those of the composed graph. Each
-fused op's docstring names the composition it stands for.
+fused op's docstring names the composition it stands for. The kernels
+avoid numpy calls that loop over short rows or build padded copies:
+conv2d gathers its im2col matrix from the unpadded input plus one zero
+column and scatters its input gradient with one bincount, and batch_norm
+broadcasts each per-channel statistic over flat [N, C*H*W] rows.
 
 Eval-mode forward (layers.forward) builds no graph. It runs raw-array
 kernels that take an optional `out=` array to write into (conv2d_value a
@@ -117,7 +121,9 @@ class Workspace:
     so a shorter chunk uses the front of the same memory. A slot's contents
     live until the next request for that slot. Layer outputs alternate
     between the slots "ping" and "pong" (see other), so a layer can read its
-    input while it writes its output.
+    input while it writes its output. conv2d_value keeps its intermediates
+    in "pad" (a padded convolution's [N, C*H*W + 1] input copy with a zero
+    last column), "cols" (the im2col matrix) and "mat" (the matmul result).
     """
 
     def __init__(self):
@@ -143,6 +149,21 @@ class Workspace:
 
 def _scratch(ws: Workspace | None, name: str, shape: tuple[int, ...]) -> Array:
     return np.empty(shape) if ws is None else ws.empty(name, shape)
+
+
+def _rows(a: Array) -> Array:
+    """a [N, C, H, W] (or [N, C]) as [N, C*H*W] rows, the layout per-channel broadcasts run on."""
+    return a.reshape(a.shape[0], -1)
+
+
+def _spread(stat: Array, shape: tuple[int, ...]) -> Array:
+    """One entry per channel laid out as a row of _rows for `shape`: each repeated H*W times.
+
+    Broadcasting it over the rows costs one pass over contiguous memory,
+    where a [1, C, 1, 1] operand would loop over rows of W elements.
+    """
+    hw = math.prod(shape[2:])
+    return stat.reshape(-1).repeat(hw) if hw > 1 else stat.reshape(-1)
 
 
 def constant(value, name: str = "") -> Node:
@@ -424,19 +445,38 @@ def straight_through(a: Node, forward: Callable[[Array], Array]) -> Node:
 
 
 @functools.lru_cache(maxsize=64)
-def _im2col_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int) -> Array:
-    """Flat source positions in one padded [c, hp, wp] sample, ordered (ho, wo, c, kh, kw).
+def _im2col_index(c: int, h: int, w: int, padding: int, kh: int, kw: int, stride: int) -> Array:
+    """Gather columns for one sample, ordered (ho, wo, c, kh, kw).
 
-    Gathering them lays out each output position's receptive field as one
-    row of the im2col matrix. The index does not depend on the batch size.
+    The sample is viewed as its c*h*w values followed by one zero column,
+    and every padding position points at that zero column (index c*h*w).
+    Gathering lays out each output position's receptive field as one row of
+    the im2col matrix. The index does not depend on the batch size.
     """
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    rows = (np.arange(ho) * stride)[:, None, None, None, None] + np.arange(kh)[None, None, None, :, None]
-    cols = (np.arange(wo) * stride)[None, :, None, None, None] + np.arange(kw)[None, None, None, None, :]
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    rows = (np.arange(ho) * stride - padding)[:, None, None, None, None] + np.arange(kh)[None, None, None, :, None]
+    cols = (np.arange(wo) * stride - padding)[None, :, None, None, None] + np.arange(kw)[None, None, None, None, :]
     chan = np.arange(c)[None, None, :, None, None]
-    idx = ((chan * hp + rows) * wp + cols).reshape(-1)
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    idx = np.where(inside, (chan * h + rows) * w + cols, c * h * w).reshape(-1)
     idx.setflags(write=False)  # shared by every caller of the cache
+    return idx
+
+
+@functools.lru_cache(maxsize=64)
+def _col2im_index(n: int, c: int, h: int, w: int, padding: int, kh: int, kw: int, stride: int) -> Array:
+    """Flat position in the [n, c, h, w] input of every im2col entry, ordered (c, kh, kw, n, ho, wo).
+
+    Entries that read padding point at the extra position n*c*h*w. In this
+    order each input position meets its entries in the order of the kernel
+    offsets (i, j), one entry per offset, so a bincount over the index sums
+    them as a loop over the offsets would.
+    """
+    chw = c * h * w
+    src = _im2col_index(c, h, w, padding, kh, kw, stride).reshape(-1, c * kh * kw).T[:, None, :]
+    idx = np.where(src < chw, src + chw * np.arange(n)[None, :, None], n * chw).reshape(-1)
+    idx.setflags(write=False)
     return idx
 
 
@@ -444,11 +484,15 @@ def conv2d_value(xv: Array, wv: Array, stride: int = 1, padding: int = 0, bv: Ar
                  ws: Workspace | None = None) -> tuple[Array, Array]:
     """conv2d's forward on raw arrays: (output [N,F,Ho,Wo], im2col matrix).
 
-    With a Workspace, the zero-padded copy of xv, the im2col matrix and the
-    matmul result are its slots "pad", "cols" and "mat", and the output is
-    the ping-pong slot that does not hold xv (only this kernel knows the
-    output's shape, so it takes the Workspace instead of an `out=`); without
-    one they are fresh arrays.
+    The im2col matrix is gathered from xv viewed as [N, C*H*W]; with padding
+    that view is first copied into a [N, C*H*W + 1] array whose last column
+    is zero, which every padding position reads. The matmul result is copied
+    into the output, and the bias, spread over a row, is added to its
+    [N, F*Ho*Wo] rows. With a Workspace, the zero-column copy, the im2col
+    matrix and the matmul result are its slots "pad", "cols" and "mat", and
+    the output is the ping-pong slot that does not hold xv (only this kernel
+    knows the output's shape, so it takes the Workspace instead of an
+    `out=`); without one they are fresh arrays.
     """
     if xv.ndim != 4 or wv.ndim != 4:
         raise DimensionError(f"conv2d needs 4-d input and kernel, got {xv.shape} and {wv.shape}")
@@ -468,24 +512,23 @@ def conv2d_value(xv: Array, wv: Array, stride: int = 1, padding: int = 0, bv: Ar
     if bv is not None and bv.size != f:
         raise DimensionError(f"conv2d: bias has {bv.size} entries for {f} filters")
 
-    xp = xv
+    chw = c * h * wd
+    src = xv.reshape(n, chw)
     if padding:
-        if ws is None:
-            xp = np.zeros((n, c, hp, wp))
-        else:
-            xp = ws.empty("pad", (n, c, hp, wp))
-            xp.fill(0.0)
-        xp[:, :, padding : padding + h, padding : padding + wd] = xv
-    idx = _im2col_index(c, hp, wp, kh, kw, stride)
+        padded = _scratch(ws, "pad", (n, chw + 1))
+        padded[:, :chw] = src
+        padded[:, chw] = 0.0
+        src = padded
+    idx = _im2col_index(c, h, wd, padding, kh, kw, stride)
     # mode="clip" writes straight into `out`; "raise" would gather into a temporary
-    cols = np.take(xp.reshape(n, c * hp * wp), idx, axis=1, mode="clip",
-                   out=_scratch(ws, "cols", (n, idx.size)))
+    cols = np.take(src, idx, axis=1, mode="clip", out=_scratch(ws, "cols", (n, idx.size)))
     cols = cols.reshape(n * ho * wo, c * kh * kw)
     mat = np.matmul(cols, wv.reshape(f, c * kh * kw).T, out=_scratch(ws, "mat", (n * ho * wo, f)))
-    if bv is not None:
-        mat += bv.reshape(f)
     out = np.empty((n, f, ho, wo)) if ws is None else ws.other(xv, (n, f, ho, wo))
     np.copyto(out, mat.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
+    if bv is not None:
+        # a transposed copy and then an add on rows beats one transposed add
+        np.add(_rows(out), _spread(bv, out.shape), out=_rows(out))
     return out, cols
 
 
@@ -493,10 +536,11 @@ def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0, bias: Node | Non
     """2-d cross-correlation of x [N,C,H,W] with filters w [F,C,kh,kw].
 
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1 per axis.
-    Implemented as im2col (one gather from a zero-padded copy of x, by an
-    index cached per geometry) + one matmul; the backward scatter loops over
-    the kh*kw kernel offsets, each a strided slice add, which keeps the order
-    in which overlapping windows sum into the input gradient.
+    Implemented as im2col (one gather by an index cached per geometry, see
+    conv2d_value) + one matmul. The backward scatters the im2col gradient
+    into the input gradient with one bincount over a cached index, in an
+    order that sums each input position's contributions as a loop over the
+    kh*kw kernel offsets, each a strided slice add, would.
 
     With a bias [F] this is one fused node standing for
     add(conv2d(x, w), reshape(bias, (1, F, 1, 1))): the bias is added to the
@@ -506,7 +550,6 @@ def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0, bias: Node | Non
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
     _, _, ho, wo = out.shape
-    hp, wp = h + 2 * padding, wd + 2 * padding
     wmat = w.value.reshape(f, c * kh * kw)
 
     def rule(g: Array):
@@ -514,12 +557,11 @@ def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0, bias: Node | Non
         gw = (gmat.T @ cols).reshape(f, c, kh, kw) if w.requires_grad else None
         gx = None
         if x.requires_grad:
-            dcols = (gmat @ wmat).reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-            dxp = np.zeros((n, c, hp, wp))
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[..., i, j]
-            gx = dxp[:, :, padding : padding + h, padding : padding + wd] if padding else dxp
+            size = n * c * h * wd
+            idx = _col2im_index(n, c, h, wd, padding, kh, kw, stride)
+            # rows of (gmat @ wmat) are (n, ho, wo), columns (c, kh, kw): ravel the transpose
+            dcols = (gmat @ wmat).T.ravel()
+            gx = np.bincount(idx, weights=dcols, minlength=size + 1)[:size].reshape(n, c, h, wd)
         if bias is None:
             return gx, gw
         gb = _unbroadcast(g, (1, f, 1, 1)).reshape(bias.shape) if bias.requires_grad else None
@@ -530,7 +572,13 @@ def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0, bias: Node | Non
 
 
 def _norm_shape(shape: tuple[int, ...], gamma: Array, beta: Array, axes: tuple[int, ...]) -> tuple[int, ...]:
-    """Keepdims shape of the statistics; gamma and beta hold one entry per slot."""
+    """Keepdims shape of the statistics; gamma and beta hold one entry per slot.
+
+    The axes are the batch axis and every axis after the channel axis, the
+    layout _spread lays the statistics out in.
+    """
+    if tuple(axes) != (0,) + tuple(range(2, len(shape))):
+        raise ContractError(f"batch_norm normalizes over axes 0, 2, ... of a {len(shape)}-d input, got {axes}")
     kept = tuple(1 if i in axes else d for i, d in enumerate(shape))
     size = math.prod(kept)
     for name, p in (("gamma", gamma), ("beta", beta)):
@@ -540,7 +588,7 @@ def _norm_shape(shape: tuple[int, ...], gamma: Array, beta: Array, axes: tuple[i
 
 
 def _scale_shift(xn: Array, gv: Array, bv: Array, out: Array | None = None) -> Array:
-    """xn * gamma + beta, both in keepdims shape; `out` may be xn itself."""
+    """xn * gamma + beta, both spread over rows; `out` may be xn itself."""
     out = np.multiply(xn, gv, out=out)
     return np.add(out, bv, out=out)
 
@@ -554,40 +602,52 @@ def batch_norm(x: Node, gamma: Node, beta: Node, axes: tuple[int, ...], eps: flo
         out = xc * (var + eps) ** -0.5 * gamma + beta
     and replays its backward in graph order: the three contributions to xc
     sum as (g1*inv + gsq*xc) + gsq*xc before the mean path adds its share.
+    Elementwise work runs on [N, C*H*W] rows against each statistic spread
+    over a row; the reductions run on x's own shape, as the composition's do.
     """
-    kept = _norm_shape(x.shape, gamma.value, beta.value, axes)
+    shape = x.shape
+    kept = _norm_shape(shape, gamma.value, beta.value, axes)
+    spread = lambda stat: _spread(stat, shape)
+    sums = lambda rows: _unbroadcast(rows.reshape(shape), kept)
     xv = x.value
-    count = math.prod(xv.shape[i] for i in axes)
+    count = math.prod(shape[i] for i in axes)
     mu = xv.sum(axis=axes, keepdims=True) * (1.0 / count)
-    xc = xv - mu
-    var = (xc * xc).sum(axis=axes, keepdims=True) * (1.0 / count)
+    xc = _rows(xv) - spread(mu)
+    var = (xc * xc).reshape(shape).sum(axis=axes, keepdims=True) * (1.0 / count)
     ve = var + eps
-    inv = ve ** -0.5
+    inv = spread(ve ** -0.5)
     xn = xc * inv
-    gv = gamma.value.reshape(kept)
+    gv = spread(gamma.value)
 
     def rule(g: Array):
+        g = _rows(g)
         g1 = g * gv
         gx = None
         if x.requires_grad:
-            ginv = _unbroadcast(g1 * xc, kept)
+            ginv = sums(g1 * xc)
             gsq = ginv * -0.5 * ve ** -1.5 * (1.0 / count)
-            gxc = g1 * inv + gsq * xc + gsq * xc
-            gx = gxc + _unbroadcast(-gxc, kept) * (1.0 / count)
-        gg = _unbroadcast(g * xn, kept).reshape(gamma.shape) if gamma.requires_grad else None
-        gb = _unbroadcast(g, kept).reshape(beta.shape) if beta.requires_grad else None
+            gsq_xc = xc * spread(gsq)
+            gxc = np.multiply(g1, inv, out=g1)  # g1 is not read again
+            gxc += gsq_xc
+            gxc += gsq_xc
+            gxc += spread(sums(-gxc) * (1.0 / count))
+            gx = gxc.reshape(shape)
+        gg = sums(g * xn).reshape(gamma.shape) if gamma.requires_grad else None
+        gb = sums(g).reshape(beta.shape) if beta.requires_grad else None
         return gx, gg, gb
 
-    out = _scale_shift(xn, gv, beta.value.reshape(kept))
-    return Node(out, (x, gamma, beta), rule), mu, var
+    out = _scale_shift(xn, gv, spread(beta.value))
+    return Node(out.reshape(shape), (x, gamma, beta), rule), mu, var
 
 
 def batch_norm_eval_value(xv: Array, gv: Array, bv: Array, axes: tuple[int, ...], mean: Array,
                           var: Array, eps: float, out: Array | None = None) -> Array:
     """Eval-mode batch norm on raw arrays, by the running statistics mean and var:
-    (x - mean) * (1 / sqrt(var + eps)) * gamma + beta. `out` may be xv itself."""
-    kept = _norm_shape(xv.shape, gv, bv, axes)
+    (x - mean) * (1 / sqrt(var + eps)) * gamma + beta, on [N, C*H*W] rows
+    like batch_norm. `out` may be xv itself."""
+    shape = xv.shape
+    kept = _norm_shape(shape, gv, bv, axes)
     inv = 1.0 / np.sqrt(var.reshape(kept) + eps)
-    out = np.subtract(xv, mean.reshape(kept), out=out)
-    np.multiply(out, inv, out=out)
-    return _scale_shift(out, gv.reshape(kept), bv.reshape(kept), out=out)
+    rows = np.subtract(_rows(xv), _spread(mean, shape), out=None if out is None else _rows(out))
+    np.multiply(rows, _spread(inv, shape), out=rows)
+    return _scale_shift(rows, _spread(gv, shape), _spread(bv, shape), out=rows).reshape(shape)

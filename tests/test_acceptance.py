@@ -234,6 +234,7 @@ keep_batchnorm = true
 """
 
 
+@pytest.mark.slow
 def test_criterion_07_noise_robustness_trend(tmp_path):
     t0 = time.perf_counter()
     cfg_path = tmp_path / "noise.ini"
@@ -282,6 +283,7 @@ early_stop_patience = 10
 """
 
 
+@pytest.mark.slow
 def test_criterion_08_multitask_f1_trend(tmp_path):
     t0 = time.perf_counter()
     cfg_path = tmp_path / "multi.ini"

@@ -289,19 +289,28 @@ sys.exit(qreg.cli.main(sys.argv[1:]))
 
 def test_a_killed_pool_worker_fails_its_jobs_and_the_sweep_exits_3(tmp_path):
     path = tmp_path / "prune.ini"
-    path.write_text(PRUNING_SWEEP)
-    out = tmp_path / "out"
+    # the pruning jobs go first, so the `none` jobs wait in the pool that their deaths break
+    path.write_text(PRUNING_SWEEP.replace("modes = none,pruning", "modes = pruning,none"))
     env = dict(os.environ, QREG_THREADS="2", PYTHONPATH=os.path.dirname(os.path.dirname(qreg.__file__)))
-    proc = subprocess.run([sys.executable, "-c", KILLING_PRUNE, "noise-sweep", "--config", str(path), "--out", str(out)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    # which `none` jobs the dying pool takes down with it depends on scheduling
-    assert proc.returncode == 3
-    assert proc.stderr == ""  # no traceback
-    for s in ("0", "0.3"):
-        assert f"pruning s={s} seed=0: FAILED (BrokenProcessPool: " in proc.stdout
-    assert proc.stdout.endswith(" of 4 runs failed; summaries cover the rest\n")
-    assert sorted(os.listdir(out)) == ["sweep.csv", "sweep_mean.csv"]  # no temp file left
-    assert (out / "sweep.csv").read_text().startswith("mode,s,seed,final_test_acc\n")
+    outputs = []
+    for rerun in range(3):
+        out = tmp_path / f"out{rerun}"
+        proc = subprocess.run([sys.executable, "-c", KILLING_PRUNE, "noise-sweep", "--config", str(path),
+                               "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+        # a job the dying pool takes down with it runs again alone: only the pruning jobs fail
+        assert proc.returncode == 3
+        assert proc.stderr == ""  # no traceback
+        failed = [line.split(":")[0].strip() for line in proc.stdout.splitlines() if ": FAILED (" in line]
+        assert failed == ["pruning s=0 seed=0", "pruning s=0.3 seed=0"]
+        for s in ("0", "0.3"):
+            assert f"pruning s={s} seed=0: FAILED (BrokenProcessPool: " in proc.stdout
+        assert proc.stdout.endswith("2 of 4 runs failed; summaries cover the rest\n")
+        assert sorted(os.listdir(out)) == ["sweep.csv", "sweep_mean.csv"]  # no temp file left
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert rows[0] == "mode,s,seed,final_test_acc"
+        assert [row.split(",")[:3] for row in rows[1:]] == [["none", "0", "0"], ["none", "0.3", "0"]]
+        outputs.append({name: (out / name).read_bytes() for name in ("sweep.csv", "sweep_mean.csv")})
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_a_default_section_exits_2_before_any_output(config_file, tmp_path, capsys):

@@ -354,6 +354,7 @@ def test_replayed_early_stopping_equals_training_it(patience, metric):
         assert min(lengths) < cfg.epochs  # the replay does cut runs short
 
 
+@pytest.mark.slow
 def test_replayed_sweep_output_is_identical_for_worker_counts(tmp_path, monkeypatch, capsys):
     cfg = replay_cfg(patience=1)
     monkeypatch.delenv("QREG_THREADS", raising=False)
@@ -429,3 +430,21 @@ def test_early_stopping_without_its_twin_is_trained():
     alone = run_jobs([Job(cfg=replay_cfg(), mode="early_stopping", noise=0.0, seed=0),
                       Job(cfg=replay_cfg(), mode="none", noise=0.4, seed=0)], quiet=True)
     assert all(r.state is not None for r in alone)
+
+
+def _blas_threads() -> int:
+    return qreg.experiments._openblas().scipy_openblas_get_num_threads64_()
+
+
+def test_pool_workers_run_blas_on_one_thread():
+    lib = qreg.experiments._openblas()
+    if lib is None:
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)  # what a forked worker would inherit
+    try:
+        with qreg.experiments._pool(2) as pool:
+            assert [f.result() for f in [pool.submit(_blas_threads) for _ in range(4)]] == [1] * 4
+        assert lib.scipy_openblas_get_num_threads64_() == 2  # the parent keeps its count
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)

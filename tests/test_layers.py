@@ -372,15 +372,13 @@ def test_conv_im2col_gather_is_bitwise_the_slice_loop(stride, padding, c):
     rng = np.random.default_rng(6)
     f, kh, kw = 4, 3, 2
     w = rng.standard_normal((f, c, kh, kw))
-    hp, wp = 6 + 2 * padding, 7 + 2 * padding
-    index = T._im2col_index(c, hp, wp, kh, kw, stride)
+    index = T._im2col_index(c, 6, 7, padding, kh, kw, stride)
     for n in (5, 2):  # both batch sizes use the one cached index
-        assert T._im2col_index(c, hp, wp, kh, kw, stride) is index
+        assert T._im2col_index(c, 6, 7, padding, kh, kw, stride) is index
         x = rng.standard_normal((n, c, 6, 7))
         cols, (ho, wo) = slice_loop_cols(x, kh, kw, stride, padding)
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        np.testing.assert_array_equal(np.take(xp.reshape(n, -1), index, axis=1).reshape(cols.shape),
-                                      cols, strict=True)
+        src = np.concatenate([x.reshape(n, -1), np.zeros((n, 1))], axis=1)  # padding reads the last column
+        np.testing.assert_array_equal(np.take(src, index, axis=1).reshape(cols.shape), cols, strict=True)
         wn = T.parameter(w)
         out = T.conv2d(T.constant(x), wn, stride, padding)
         expected = (cols @ w.reshape(f, -1).T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
@@ -389,6 +387,72 @@ def test_conv_im2col_gather_is_bitwise_the_slice_loop(stride, padding, c):
         T.backward(T.reduce_sum(T.mul(out, T.constant(g))))
         gmat = g.transpose(0, 2, 3, 1).reshape(-1, f)
         np.testing.assert_array_equal(wn.grad, (gmat.T @ cols).reshape(w.shape), strict=True)
+
+
+def padded_gather_conv(x, w, b, stride, padding):
+    """conv2d's former forward: a zero-padded copy of x, an index over its
+    padded layout, the bias added to the matmul result, then copied to NCHW.
+    Returns (out, cols)."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    xp = np.zeros((n, c, hp, wp))
+    xp[:, :, padding : padding + h, padding : padding + wd] = x
+    rows = (np.arange(ho) * stride)[:, None, None, None, None] + np.arange(kh)[None, None, None, :, None]
+    cols = (np.arange(wo) * stride)[None, :, None, None, None] + np.arange(kw)[None, None, None, None, :]
+    chan = np.arange(c)[None, None, :, None, None]
+    index = ((chan * hp + rows) * wp + cols).reshape(-1)
+    cols = np.take(xp.reshape(n, -1), index, axis=1).reshape(n * ho * wo, c * kh * kw)
+    mat = cols @ w.reshape(f, -1).T
+    mat += b
+    return np.ascontiguousarray(mat.reshape(n, ho, wo, f).transpose(0, 3, 1, 2)), cols
+
+
+def slice_loop_input_grad(g, w, x_shape, stride, padding):
+    """conv2d's former input gradient: one strided slice add per kernel offset
+    into a zero-padded buffer, in (i, j) order, then the interior."""
+    n, c, h, wd = x_shape
+    f, _, kh, kw = w.shape
+    _, _, ho, wo = g.shape
+    gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
+    dcols = (gmat @ w.reshape(f, -1)).reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    dxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding))
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[..., i, j]
+    return dxp[:, :, padding : padding + h, padding : padding + wd]
+
+
+def assert_same_int64(got, want):
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.int64),
+                                  np.ascontiguousarray(want).view(np.int64), strict=True)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("kh,kw", [(1, 1), (3, 2), (3, 3), (5, 5)])
+def test_conv_kernels_are_bitwise_the_padded_gather_and_slice_loop(stride, padding, kh, kw):
+    rng = np.random.default_rng(stride * 100 + padding * 10 + kh)
+    for c in (1, 3):
+        w = rng.standard_normal((4, c, kh, kw))
+        b = rng.standard_normal(4)
+        for n in (1, 2, 64, 37):  # 37: a tail batch
+            x = rng.standard_normal((n, c, 6, 7))
+            x[0, 0, 0, 0] = -0.0
+            want, cols = padded_gather_conv(x, w, b, stride, padding)
+            got, _ = T.conv2d_value(x, w, stride, padding, b, ws=T.Workspace())
+            assert_same_int64(got, want)
+            xn, wn, bn = T.parameter(x), T.parameter(w), T.parameter(b)
+            out = T.conv2d(xn, wn, stride, padding, bias=bn)
+            assert_same_int64(out.value, want)
+            g = rng.standard_normal(out.shape)
+            T.backward(T.reduce_sum(T.mul(out, T.constant(g))))
+            gmat = g.transpose(0, 2, 3, 1).reshape(-1, 4)
+            assert_same_int64(xn.grad, slice_loop_input_grad(g, w, x.shape, stride, padding))
+            assert_same_int64(wn.grad, (gmat.T @ cols).reshape(w.shape))
+            assert_same_int64(bn.grad, T._unbroadcast(g, (1, 4, 1, 1)).reshape(4))
+            assert xn.grad.flags.c_contiguous
 
 
 BN_CASES = [
@@ -424,6 +488,27 @@ def test_batchnorm_node_is_bitwise_the_composed_graph(cls, dim, shape, train_mod
     fused = run_layer(_bn_layer(cls, dim), x, lambda l, xn: l.forward(xn, None))
     composed = run_layer(_bn_layer(cls, dim), x, lambda l, xn: composed_batchnorm(l, xn, True))
     assert_same_bits(fused, composed)
+
+
+@pytest.mark.parametrize("cls,dim,shape", BN_CASES)
+def test_batchnorm_eval_may_write_over_its_input(cls, dim, shape):
+    x = np.random.default_rng(0).standard_normal(shape) * 2.0 + 0.4
+    layer = _bn_layer(cls, dim)
+    args = (layer.gamma.value, layer.beta.value, layer._axes(shape), layer.running_mean, layer.running_var, layer.eps)
+    want = T.batch_norm_eval_value(x, *args)
+    buf = x.copy()
+    got = T.batch_norm_eval_value(buf, *args, out=buf)
+    assert np.shares_memory(got, buf) and got.shape == shape
+    np.testing.assert_array_equal(buf.view(np.int64), want.view(np.int64), strict=True)
+    np.testing.assert_array_equal(want, composed_batchnorm(layer, T.constant(x), False).value, strict=True)
+
+
+def test_batch_norm_normalizes_over_the_batch_and_spatial_axes_only():
+    c = T.constant
+    with pytest.raises(ContractError, match="axes"):
+        T.batch_norm(c(np.zeros((4, 3, 2, 2))), c(np.ones(12)), c(np.zeros(12)), (0,), BN_EPS)
+    with pytest.raises(ContractError, match="axes"):
+        T.batch_norm_eval_value(np.zeros((4, 3)), np.ones(4), np.zeros(4), (1,), np.zeros(4), np.ones(4), BN_EPS)
 
 
 def test_batchnorm_node_without_input_gradient():

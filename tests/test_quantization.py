@@ -135,6 +135,57 @@ def test_fake_quantize_errors():
         fake_quantize(np.ones((3, 2)), 8, np.array([1.0, 1.0]))  # wrong channel count
 
 
+def formula_fake_quantize(x, bits, scale):
+    """fake_quantize's former formula: clip(round_half_away(x * q / scale), -q, q) * scale / q."""
+    q = 2 ** (bits - 1) - 1
+    lam = np.asarray(scale, dtype=np.float64)
+    if lam.ndim:
+        lam = lam.reshape((-1,) + (1,) * (x.ndim - 1))
+    y = np.array(x * (q / lam))  # an array even when x is 0-d
+    return np.asarray(np.clip(round_half_away(y, out=np.empty_like(y)), -q, q) * (lam / q))
+
+
+def assert_same_int64(got, want):
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.int64),
+                                  np.ascontiguousarray(want).view(np.int64), strict=True)
+
+
+@pytest.mark.parametrize("bits", [2, 4, 8, 16])
+def test_fake_quantize_is_bitwise_the_clipped_rounding(bits):
+    q = 2 ** (bits - 1) - 1
+    k = np.arange(-q - 2, q + 3, dtype=np.float64)
+    quiet_nan = np.array([0x7FF8000000000123], dtype=np.int64).view(np.float64)[0]
+    special = [0.0, -0.0, np.nan, -np.nan, quiet_nan, -quiet_nan, np.inf, -np.inf, 1e300, -1e300]
+    for lam in (1.0, 0.37, 3.0):
+        ties = (k + 0.5) * (lam / q)  # y lands on or next to k + 0.5
+        x = np.concatenate([ties, -ties, k * (lam / q), special,
+                            np.random.default_rng(bits).standard_normal(200) * lam])
+        assert_same_int64(fake_quantize(x, bits, lam), formula_fake_quantize(x, bits, lam))
+        for v in (0.3 * lam, -0.0, np.nan, (q + 0.5) * lam):  # 0-d inputs stay 0-d
+            got = fake_quantize(np.array(v), bits, lam)
+            assert got.shape == ()
+            assert_same_int64(got, formula_fake_quantize(np.array(v), bits, lam))
+
+    w = np.random.default_rng(bits).standard_normal((6, 5)) * 2.0
+    w[0, :3] = (-0.0, np.nan, 0.0)
+    lam = np.array([0.5, 1.0, 2.0, 3.0, 0.25, 1.5])
+    for weight in (w, np.asfortranarray(w)):
+        want = formula_fake_quantize(weight, bits, lam)
+        got = fake_quantize(weight, bits, lam)
+        assert got.flags.f_contiguous == weight.flags.f_contiguous  # keeps the layout
+        assert_same_int64(got, want)
+        out = np.empty_like(weight)
+        assert fake_quantize(weight, bits, lam, out=out) is out
+        assert_same_int64(out, want)
+
+
+def test_fake_quantize_accepts_an_empty_per_channel_scale():
+    assert fake_quantize(np.ones((0, 3)), 4, np.ones(0)).shape == (0, 3)
+    for bad in ([1.0, np.nan], [1.0, np.inf], [1.0, -np.inf], [1.0, 0.0], np.nan):
+        with pytest.raises(ContractError, match="positive and finite"):
+            fake_quantize(np.ones((2, 3)), 4, np.array(bad))
+
+
 def test_act_scale_first_batch_calibrates_then_ema():
     _, qlayer = quantized_dense(np.random.default_rng(0))
     act_scale_update(qlayer, np.array([0.5, -2.0]), 0.99)
@@ -149,6 +200,26 @@ def test_act_scale_update_rejects_bad_momentum():
         act_scale_update(qlayer, np.ones(2), 1.0)
     with pytest.raises(ContractError):
         act_scale_update(qlayer, np.ones(2), 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_act_scale_update_rejects_a_non_finite_batch(bad):
+    _, qlayer = quantized_dense(np.random.default_rng(0))
+    for pos in (0, 2):
+        batch = np.array([0.5, -2.0, 1.0])
+        batch[pos] = bad
+        with pytest.raises(ContractError, match="non-finite"):
+            act_scale_update(qlayer, batch, 0.99)
+        assert not qlayer.calibrated and qlayer.act_scale == 0.0
+
+
+def test_act_scale_peak_is_the_largest_magnitude():
+    _, qlayer = quantized_dense(np.random.default_rng(0))
+    act_scale_update(qlayer, np.array([[0.5, 3.0], [-2.0, 1.0]]), 0.99)
+    assert qlayer.act_scale == 3.0
+    _, qlayer = quantized_dense(np.random.default_rng(0))
+    act_scale_update(qlayer, np.array([-0.0, 0.0]), 0.99)
+    assert qlayer.act_scale == 1e-8  # floored
 
 
 def quantized_dense(rng, in_dim=6, out_dim=4, wbits=4, abits=4, **cfg_kw):
