@@ -4,7 +4,9 @@ SCHEMA is the one list of sections and keys: it maps each INI key to the
 ExperimentConfig field it sets. The dataclasses hold every default and every
 range, so the minimal valid config is an empty file. Unknown sections or keys
 are errors rather than warnings; a typo that silently falls back to a default
-would invalidate a whole sweep.
+would invalidate a whole sweep. STABILITY_GRIDS is likewise the one table of
+the stability sweep's grids: which field lists each mode's grid values, what
+a value sets, and how the `hyper` column labels it.
 
 parse_config only reads types: each key the text gives is read as the type of
 its field's default and replaces that default. Which values are legal is
@@ -17,10 +19,12 @@ A job trains one resolved config; a swept variant is its own config, built
 with dataclasses.replace. The fingerprint identifies a result row's
 provenance: it hashes the config it is called on together with the job
 coordinates (mode, noise level, and whether the multitask protocol
-early-stops every mode), and deliberately leaves out everything that must not
-affect the numbers being compared across runs of the same job: seeds, output
-paths, the experiment name, and the lists of jobs to sweep. Records that
-share a fingerprint are aggregable; records that do not are not.
+early-stops every mode). Its payload is read off SCHEMA, so every key of a
+hashed section enters the hash by construction, and a new section is hashed
+unless UNHASHED lists it. UNHASHED holds the sections that must not affect
+the numbers being compared across runs of the same job: seeds, output paths,
+the experiment name, and the lists of jobs to sweep. Records that share a
+fingerprint are aggregable; records that do not are not.
 """
 
 from __future__ import annotations
@@ -66,6 +70,23 @@ SCHEMA: dict[str, dict[str, str]] = {
     "stability": {"quant_bits": "stability_quant_bits", "prune_ratios": "stability_prune_ratios",
                   "dropout_rates": "stability_dropout_rates"},
 }
+# the sections the fingerprint leaves out: they pick the jobs to run, not what a job computes
+UNHASHED = ("experiment", "stability")
+
+# mode -> (the ExperimentConfig field that lists its stability grid, the
+# sub-config a grid value varies, the fields of it that the value sets, and
+# the `hyper` label of such a sub-config as a format string)
+STABILITY_GRIDS: dict[str, tuple[str, str, tuple[str, ...], str]] = {
+    "quantization": ("stability_quant_bits", "quant", ("weight_bits", "act_bits"), "w{weight_bits}a{act_bits}"),
+    "pruning": ("stability_prune_ratios", "prune", ("ratio",), "{ratio:g}"),
+    "dropout": ("stability_dropout_rates", "reg", ("dropout_p",), "{dropout_p:g}"),
+}
+
+
+def _key_of(name: str) -> str:
+    """The INI key, as "section.key", that sets ExperimentConfig field `name`
+    ("quant.weight_bits" names a field of a sub-config)."""
+    return next(f"{s}.{k}" for s, keys in SCHEMA.items() for k, f in keys.items() if f == name)
 
 
 @contextmanager
@@ -75,9 +96,7 @@ def _keyed(sub: str = "", key: str | None = None):
     try:
         yield
     except ContractError as e:
-        name = f"{sub}.{e.field}" if sub else e.field
-        key = key or next(f"{s}.{k}" for s, keys in SCHEMA.items() for k, f in keys.items() if f == name)
-        raise ConfigError(str(e), key=key) from None
+        raise ConfigError(str(e), key=key or _key_of(f"{sub}.{e.field}" if sub else e.field)) from None
 
 
 def read_value(raw: str, like, key: str):
@@ -123,10 +142,10 @@ class ExperimentConfig:
     """
 
     name: str = "exp"
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     output_dir: str = "results"
     modes: tuple[str, ...] = MODES
     noise_levels: tuple[float, ...] = (0.0, 0.2, 0.4)
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     data_kind: str = "blobs"
     num_classes: int = 10
@@ -157,17 +176,13 @@ class ExperimentConfig:
     stability_dropout_rates: tuple[float, ...] = (0.05, 0.1, 0.3)
 
     def __post_init__(self):
-        lists = {
-            "experiment.modes": self.modes,
-            "experiment.noise_levels": self.noise_levels,
-            "experiment.seeds": self.seeds,
-            # may be empty: an empty grid disables that mode's stability sweep
-            "stability.quant_bits": self.stability_quant_bits,
-            "stability.prune_ratios": self.stability_prune_ratios,
-            "stability.dropout_rates": self.stability_dropout_rates,
-        }
-        for key, values in lists.items():
-            if not values and key.startswith("experiment."):
+        grids = [grid for grid, *_ in STABILITY_GRIDS.values()]
+        for name, values in vars(self).items():  # the fields, in declaration order
+            if not isinstance(values, tuple):
+                continue
+            key = _key_of(name)
+            # only a grid may be empty: an empty grid disables that mode's stability sweep
+            if not values and name not in grids:
                 raise ConfigError("must list at least one value", key=key)
             # a repeat is an equal value, or a float whose `:g` label (as the outputs print it) is taken
             labels = [f"{v:g}" if isinstance(v, float) else str(v) for v in values]
@@ -246,21 +261,19 @@ class ExperimentConfig:
                     key="training.batch_size",
                 )
         # each grid value: the sub-config variant it names checks it
-        with _keyed(key="stability.quant_bits"):
-            for bits in self.stability_quant_bits:
-                replace(self.quant, weight_bits=bits, act_bits=bits)
-        with _keyed(key="stability.prune_ratios"):
-            for ratio in self.stability_prune_ratios:
-                replace(self.prune, ratio=ratio)
-        with _keyed(key="stability.dropout_rates"):
-            for rate in self.stability_dropout_rates:
-                replace(self.reg, dropout_p=rate)
+        for mode, (grid, *_) in STABILITY_GRIDS.items():
+            with _keyed(key=_key_of(grid)):
+                self.grid(mode)
+
+    def grid(self, mode: str) -> list:
+        """The variants of `mode`'s sub-config that the values of its stability grid name."""
+        grid, sub, sets, _ = STABILITY_GRIDS[mode]
+        return [replace(getattr(self, sub), **dict.fromkeys(sets, value)) for value in getattr(self, grid)]
 
     def _trained_modes(self) -> tuple[str, ...]:
         """The configured modes, then those of the non-empty stability grids."""
-        grids = (("quantization", self.stability_quant_bits), ("pruning", self.stability_prune_ratios),
-                 ("dropout", self.stability_dropout_rates))
-        return self.modes + tuple(mode for mode, grid in grids if grid and mode not in self.modes)
+        return self.modes + tuple(mode for mode, (grid, *_) in STABILITY_GRIDS.items()
+                                  if getattr(self, grid) and mode not in self.modes)
 
     def _keeps_batchnorm(self, mode: str) -> bool:
         """Whether a job of `mode` trains a batch norm: per-task norms stay in
@@ -270,31 +283,20 @@ class ExperimentConfig:
         return self.preset == "mlp-multitask"
 
     def fingerprint(self, mode: str, noise: float, always_early_stop: bool = False) -> str:
-        """12-hex-digit job identity; see the module docstring for scope."""
-        payload = {
-            "data": [
-                self.data_kind, self.num_classes, self.num_tasks, self.dim,
-                self.train_size, self.test_size, self.separation,
-                self.val_fraction, self.data_seed, self.noise_exclude_original,
-            ],
-            "model": self.preset,
-            "training": [
-                self.epochs, self.batch_size, self.learning_rate,
-                self.beta1, self.beta2, self.adam_eps,
-            ],
-            "quant": [
-                self.quant.weight_bits, self.quant.act_bits, self.quant.boundary_bits,
-                self.quant.ema_momentum, self.quant.keep_batchnorm,
-            ],
-            "reg": [
-                self.reg.weight_decay, self.reg.dropout_p, self.reg.label_smoothing,
-                self.reg.early_stop_patience, self.reg.early_stop_metric,
-            ],
-            "prune": [self.prune.ratio, self.prune.warmup_epochs, self.prune.criterion],
-            # the third slot names the protocol; empty for the plain one, so
-            # plain jobs keep the fingerprints (and file names) they always had
-            "job": [mode, float(noise), "always_early_stop" if always_early_stop else ""],
-        }
+        """12-hex-digit job identity; see the module docstring for scope.
+
+        Each section outside UNHASHED enters the hash with its fields in SCHEMA
+        order, keyed by the sub-config it sets or else by its name; the one
+        field of a one-key section goes in as a scalar.
+        """
+        payload = {}
+        for section, keys in SCHEMA.items():
+            if section not in UNHASHED:
+                names = tuple(keys.values())
+                payload[names[0].rpartition(".")[0] or section] = attrgetter(*names)(self)
+        # the third slot names the protocol; empty for the plain one, so
+        # plain jobs keep the fingerprints (and file names) they always had
+        payload["job"] = [mode, float(noise), "always_early_stop" if always_early_stop else ""]
         digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
         return digest[:12]
 
@@ -303,12 +305,7 @@ class ExperimentConfig:
         """TrainSettings for one job of this config."""
         return TrainSettings(
             mode=mode,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            adam_eps=self.adam_eps,
+            **{name: getattr(self, name) for name in SCHEMA["training"].values()},
             reg=self.reg,
             quant=self.quant if mode == "quantization" else None,
             prune=self.prune if mode == "pruning" else None,
@@ -357,8 +354,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file: {e}")
     return parse_config(text)

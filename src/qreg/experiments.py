@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .checkpoint import MAGIC_MODEL, write_container
-from .config import ExperimentConfig
+from .config import STABILITY_GRIDS, ExperimentConfig
 from .data import Dataset, NoiseSpec, inject_noise, split, split_count, synth_blobs, synth_multitask
 from .errors import ConfigError, TrainingError
 from .layers import MODEL_PRESETS, Model
@@ -221,7 +221,8 @@ def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
     """Run every job and return results sorted by job coordinates.
 
     worker_count() > 1 distributes jobs over that many worker processes, each
-    running BLAS on one thread; the default is serial. Failures do not stop
+    running BLAS on one thread, but never over more than there are trained
+    jobs or usable CPUs; the default is serial. Failures do not stop
     the batch: if a worker dies, the finished jobs keep their results and
     each job the broken pool loses runs again alone in a fresh one-worker
     pool, so only a job that kills its own worker fails (BrokenProcessPool).
@@ -230,10 +231,10 @@ def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
     run_job replays it from the twin's result in this process, with the bytes
     training would give.
     """
-    workers = worker_count()
     twins = [_twin(job, jobs) for job in jobs]
     trained = [i for i, t in enumerate(twins) if t is None]
-    if workers > 1 and len(trained) > 1:
+    workers = min(worker_count(), len(trained), len(os.sched_getaffinity(0)))
+    if workers > 1:
         done, lost = {}, []
         with _pool(workers) as pool:
             futures = {pool.submit(run_job, jobs[i]): i for i in trained}
@@ -351,25 +352,17 @@ def _stability_variants(cfg: ExperimentConfig) -> list[tuple[str, str, Experimen
 
     The reference of each mode is the variant whose config is `cfg` itself.
     It is appended when the grid in the config leaves it out, so
-    gain_vs_reference is always well defined.
+    gain_vs_reference is always well defined. Every label, the reference's
+    too, is the mode's STABILITY_GRIDS label of the variant's sub-config.
     """
-    quant, prune, reg = cfg.quant, cfg.prune, cfg.reg
-    grids = [
-        ("quantization", f"w{quant.weight_bits}a{quant.act_bits}",
-         [(f"w{b}a{b}", replace(cfg, quant=replace(quant, weight_bits=b, act_bits=b)))
-          for b in cfg.stability_quant_bits]),
-        ("pruning", f"{prune.ratio:g}",
-         [(f"{x:g}", replace(cfg, prune=replace(prune, ratio=x))) for x in cfg.stability_prune_ratios]),
-        ("dropout", f"{reg.dropout_p:g}",
-         [(f"{x:g}", replace(cfg, reg=replace(reg, dropout_p=x))) for x in cfg.stability_dropout_rates]),
-    ]
     variants = []
-    for mode, ref_label, grid in grids:
+    for mode, (_, sub, _, label) in STABILITY_GRIDS.items():
+        grid = [replace(cfg, **{sub: variant}) for variant in cfg.grid(mode)]
         if not grid:
             continue  # an empty grid disables that mode's sweep
-        if cfg not in [variant for _, variant in grid]:
-            grid.append((ref_label, cfg))
-        variants += [(mode, label, variant) for label, variant in grid]
+        if cfg not in grid:
+            grid.append(cfg)
+        variants += [(mode, label.format(**vars(getattr(variant, sub))), variant) for variant in grid]
     return variants
 
 

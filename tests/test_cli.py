@@ -67,6 +67,13 @@ def test_missing_config_exits_2(tmp_path, capsys):
     code = main(["train", "--config", str(tmp_path / "absent.ini")])
     assert code == 2
     assert "cannot read" in capsys.readouterr().err
+    # so is a config that is not UTF-8
+    path, out = tmp_path / "latin1.ini", tmp_path / "out"
+    path.write_bytes(b"[experiment]\nname = caf\xe9\xff\n")
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_unwritable_output_dir_exits_2(config_file, capsys):

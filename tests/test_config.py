@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qreg.config import SCHEMA, ExperimentConfig, load_config, parse_config
+from qreg.config import SCHEMA, UNHASHED, ExperimentConfig, load_config, parse_config
 from qreg.errors import ConfigError
 from qreg.experiments import cmd_train
 
@@ -373,6 +373,28 @@ def test_cmd_train_file_names_are_pinned(tmp_path, mode, noise, fp):
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"checkpoint_{fp}_1.qreg", f"run_{fp}_1.csv"]
 
 
+@pytest.mark.parametrize("text, mode, noise, always_early_stop, fp", [
+    ("[model]\npreset = cnn-small\n[training]\nepochs = 9\n[pruning]\nratio = 0.3\n",
+     "pruning", 0.2, False, "ce2d31791dfb"),
+    ("[data]\nkind = multitask\n[model]\npreset = mlp-multitask\n[quantization]\nweight_bits = 3\n",
+     "quantization", 0.4, True, "9f87ed4548d9"),
+    ("[data]\nkind = multitask\n[model]\npreset = mlp-multitask\n", "none", 0.4, True, "23501104de3f"),
+    ("[model]\npreset = cnn-small\n[quantization]\nkeep_batchnorm = true\nema_momentum = 0.9\n",
+     "quantization", 0.0, False, "f681c0107c1a"),
+    ("[regularization]\nweight_decay = 0.02\ndropout_rate = 0.2\nlabel_smoothing = 0.1\n"
+     "early_stop_patience = 3\nearly_stop_metric = val_accuracy\n", "dropout", 0.3, False, "ab4038dda119"),
+])
+def test_fingerprints_are_pinned(text, mode, noise, always_early_stop, fp):
+    # each digest names result files already written; a changed payload would orphan them
+    assert parse_config(text).fingerprint(mode, noise, always_early_stop) == fp
+
+
+@pytest.mark.parametrize("section", [s for s in SCHEMA if s not in UNHASHED])
+def test_a_hashed_section_sets_top_level_fields_or_those_of_one_sub_config(section):
+    # the fingerprint keys a section's values by this one owner
+    assert len({name.rpartition(".")[0] for name in SCHEMA[section].values()}) == 1
+
+
 # a valid non-default value for every key in SCHEMA; a key missing here fails
 # the coverage test below
 NON_DEFAULT = {
@@ -404,6 +426,8 @@ def test_fingerprint_covers_exactly_the_keys_outside_experiment_and_stability(se
     assert field(cfg) != field(default)
     changed = cfg.fingerprint("none", 0.0) != default.fingerprint("none", 0.0)
     assert changed == (section not in ("experiment", "stability"))
+    if section == "training":
+        assert getattr(cfg.train_settings("none", 0), SCHEMA[section][key]) == field(cfg)
 
 
 def _readme_config_table() -> list[tuple[str, str]]:

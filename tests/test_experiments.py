@@ -1,3 +1,4 @@
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -240,6 +241,16 @@ def test_stability_reference_is_the_noise_sweep_job(tmp_path, monkeypatch):
     assert prints["pruning", "0.5"] != cfg.fingerprint("pruning", 0.3)
 
 
+def test_stability_reference_off_the_grid_is_appended_once_with_its_own_label():
+    cfg = parse_config(SMALL + "\n[quantization]\nweight_bits = 4\nact_bits = 8\n"
+                               "[stability]\nquant_bits = 4,8\nprune_ratios =\ndropout_rates =\n")
+    variants = qreg.experiments._stability_variants(cfg)
+    assert [(mode, label) for mode, label, _ in variants] == [
+        ("quantization", "w4a4"), ("quantization", "w8a8"), ("quantization", "w4a8")]
+    assert variants[-1][2] is cfg
+    assert [(v.quant.weight_bits, v.quant.act_bits) for _, _, v in variants[:2]] == [(4, 4), (8, 8)]
+
+
 def test_stability_empty_grid_disables_a_mode(tmp_path):
     cfg = parse_config(
         SMALL + "\n[stability]\nquant_bits = 4\nprune_ratios =\ndropout_rates =\n"
@@ -430,6 +441,27 @@ def test_early_stopping_without_its_twin_is_trained():
     alone = run_jobs([Job(cfg=replay_cfg(), mode="early_stopping", noise=0.0, seed=0),
                       Job(cfg=replay_cfg(), mode="none", noise=0.4, seed=0)], quiet=True)
     assert all(r.state is not None for r in alone)
+
+
+@pytest.mark.parametrize("cpus, expected", [(8, 3), (2, 2)])
+def test_the_pool_is_capped_by_trained_jobs_and_usable_cpus(cfg, monkeypatch, cpus, expected):
+    # the patched pool runs jobs on one thread of this process, so no worker process starts
+    sizes = []
+
+    def pool(workers):
+        sizes.append(workers)
+        return ThreadPoolExecutor(1)
+
+    monkeypatch.setattr(qreg.experiments, "_pool", pool)
+    monkeypatch.setattr(qreg.experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setenv("QREG_THREADS", "64")
+    jobs = [Job(cfg=replace(cfg, epochs=1), mode="none", noise=0.0, seed=seed) for seed in range(3)]
+    results = run_jobs(jobs, quiet=True)
+    assert sizes == [expected]
+    assert [r.job.seed for r in results] == [0, 1, 2] and not any(r.failed for r in results)
+    monkeypatch.setenv("QREG_THREADS", "1")
+    assert [r.record.rows for r in run_jobs(jobs, quiet=True)] == [r.record.rows for r in results]
+    assert sizes == [expected]  # one worker is the serial path, with no pool
 
 
 def _blas_threads() -> int:
