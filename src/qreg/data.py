@@ -52,7 +52,7 @@ class Dataset:
                     f"multi-task labels must be [N, {self.num_tasks}], got {self.labels.shape}"
                 )
             self.labels = self.labels.astype(np.int64)
-            if self.labels.size and not np.isin(self.labels, (0, 1)).all():
+            if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 1):
                 raise DataError("multi-task labels must be 0 or 1")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ContractError(

@@ -20,9 +20,11 @@ set by construction.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,6 +40,13 @@ from .training import MODES, TrainSettings, replay_early_stopping, train
 
 # the multitask protocol early-stops every mode, so the standalone mode is moot
 MULTITASK_MODES = tuple(m for m in MODES if m != "early_stopping")
+
+# Pool submission rank of a trained job's mode, longest expected job first
+# (the LPT rule), so no worker is left with a long job when the others are
+# done. Measured serial seconds per job rank the modes alike on every preset;
+# an early_stopping job trained alone costs at most its `none` twin.
+SUBMIT_RANK = {"quantization": 0, "dropout": 1, "weight_decay": 2, "none": 3, "early_stopping": 3,
+               "label_smoothing": 4, "pruning": 5}
 
 
 def image_shape(dim: int) -> tuple[int, int, int]:
@@ -116,7 +125,9 @@ def run_job(job: Job) -> JobResult:
     """Train (or replay) one job; no exception escapes, so one bad job cannot end a sweep.
 
     A TrainingError fails the job with the epochs that completed; any other
-    exception fails it with no epochs and an error that names its type.
+    exception fails it with no epochs and an error that names its type. The
+    datasets come from _datasets, so the next job of the same (cfg, seed,
+    noise) in this process, a pool worker included, does not build them again.
     """
     cfg = job.cfg
     try:
@@ -124,12 +135,27 @@ def run_job(job: Job) -> JobResult:
         if job.twin is not None:
             return _replay(job, settings)
         dropout_p = settings.reg.dropout_p if job.mode == "dropout" else 0.0
-        train_ds, val_ds, test_ds = build_datasets(cfg, job.seed, job.noise)
+        train_ds, val_ds, test_ds = _datasets(cfg, job.seed, job.noise)
         model = build_model(cfg, job.seed, dropout_p)
         result = train(model, train_ds, val_ds, test_ds, settings)
     except Exception as e:
         return _failure(job, e)
     return JobResult(job=job, record=result.record, state=result.model.state_dict(), error=None)
+
+
+@functools.lru_cache(maxsize=1)
+def _datasets(cfg: ExperimentConfig, seed: int, noise: float) -> tuple[Dataset, Dataset, Dataset]:
+    """build_datasets, kept until a job asks for another (cfg, seed, noise).
+
+    The key is every input of build_datasets, so a hit returns what a build
+    would. Every array is read-only, because each job that hits the entry
+    shares it: training only reads its datasets.
+    """
+    built = build_datasets(cfg, seed, noise)
+    for ds in built:
+        ds.features.flags.writeable = False
+        ds.labels.flags.writeable = False
+    return built
 
 
 def _failure(job: Job, e: Exception) -> JobResult:
@@ -191,6 +217,8 @@ def _openblas() -> ctypes.CDLL | None:
         if hasattr(lib, "scipy_openblas_set_num_threads64_"):
             lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
             lib.scipy_openblas_set_num_threads64_.restype = None
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
             return lib
     return None
 
@@ -205,6 +233,27 @@ def _one_blas_thread() -> None:
     lib = _openblas()
     if lib is not None:
         lib.scipy_openblas_set_num_threads64_(1)
+
+
+@contextmanager
+def _serial_blas():
+    """Run BLAS on one thread in this process for the block, then restore its count.
+
+    A serial sweep's small matmuls gain little from a second BLAS thread and
+    lose much when another process competes for the core. The thread count
+    does not change the bits of a result. Does nothing when numpy's BLAS is
+    not scipy-openblas.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
@@ -222,14 +271,19 @@ def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
 
     worker_count() > 1 distributes jobs over that many worker processes, each
     running BLAS on one thread, but never over more than there are trained
-    jobs or usable CPUs; the default is serial. Failures do not stop
-    the batch: if a worker dies, the finished jobs keep their results and
-    each job the broken pool loses runs again alone in a fresh one-worker
-    pool, so only a job that kills its own worker fails (BrokenProcessPool).
-    An early_stopping job whose `none` twin (the same job in every other
-    field) is in the batch is not trained: once the trained jobs are done,
-    run_job replays it from the twin's result in this process, with the bytes
-    training would give.
+    jobs or usable CPUs. The pool gets the trained jobs longest expected
+    first (SUBMIT_RANK, a stable sort), so the last job to finish is a short
+    one. The default is serial: the jobs run in this process with BLAS on one
+    thread, grouped by (noise, seed) so consecutive jobs share their datasets
+    (see run_job), and the BLAS thread count is restored afterwards. Failures
+    do not stop the batch: if a worker dies, the finished jobs keep their
+    results and each job the broken pool loses runs again alone in a fresh
+    one-worker pool, so only a job that kills its own worker fails
+    (BrokenProcessPool). An early_stopping job whose `none` twin (the same job
+    in every other field) is in the batch is not trained: once the trained
+    jobs are done, run_job replays it from the twin's result in this process,
+    with the bytes training would give. Neither order reaches the output:
+    results are sorted before anything is printed or returned.
     """
     twins = [_twin(job, jobs) for job in jobs]
     trained = [i for i, t in enumerate(twins) if t is None]
@@ -237,7 +291,8 @@ def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
     if workers > 1:
         done, lost = {}, []
         with _pool(workers) as pool:
-            futures = {pool.submit(run_job, jobs[i]): i for i in trained}
+            futures = {pool.submit(run_job, jobs[i]): i
+                       for i in sorted(trained, key=lambda i: SUBMIT_RANK[jobs[i].mode])}
             for future in as_completed(futures):
                 # run_job raises nothing, so an exception here means a worker died
                 i = futures[future]
@@ -251,7 +306,8 @@ def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
                 e = future.exception()
                 done[i] = _failure(jobs[i], e) if e else future.result()
     else:
-        done = {i: run_job(jobs[i]) for i in trained}
+        with _serial_blas():
+            done = {i: run_job(jobs[i]) for i in sorted(trained, key=lambda i: (jobs[i].noise, jobs[i].seed))}
     for i, t in enumerate(twins):
         if t is not None:
             done[i] = run_job(replace(jobs[i], twin=done[t]))

@@ -52,6 +52,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, DomainError
 
 Array = np.ndarray
+_FLOAT64 = np.dtype(np.float64)
 
 
 def as_array(x) -> Array:
@@ -78,10 +79,19 @@ class Node:
         requires_grad: bool = False,
         name: str = "",
     ):
-        self.value = as_array(value)
+        # the array as_array would return, without the calls: most values are one already
+        if type(value) is np.ndarray and value.dtype is _FLOAT64 and value.flags.c_contiguous:
+            self.value = value
+        else:
+            self.value = as_array(value)
         self.parents = tuple(parents)
         self._backward_rule = backward_rule
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in self.parents)
+        self.requires_grad = bool(requires_grad)
+        if not self.requires_grad:
+            for p in self.parents:
+                if p.requires_grad:
+                    self.requires_grad = True
+                    break
         self.name = name
         self._grad = None
 

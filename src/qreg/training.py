@@ -31,6 +31,8 @@ streams never collide. Dataset noise uses its own NoiseSpec seed upstream.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,13 +69,15 @@ class Adam(object):
     bit for bit the per-parameter update. The moments m and v are flat
     vectors in parameter order, and each 2-D parameter (a Dense weight) sits
     in them transposed: that is the memory order of the gradient
-    `tensor.linear` returns, (x.T @ g).T, so gathering it is a view. Values
-    are gathered afresh each step, so a value rebound between steps
-    (load_state_dict) is the one updated. Each `p.value` is then rebound to
-    its slice of a fresh result vector, a 2-D one as the transposed view
-    (Fortran order), which `linear` reads without copying. The moment and
-    update arithmetic runs in buffers this object reuses; no value ever
-    points into them.
+    `tensor.linear` returns, (x.T @ g).T, so gathering it is a view. Each
+    `p.value` is rebound to its slice of a fresh result vector, a 2-D one as
+    the transposed view (Fortran order), which `linear` reads without
+    copying. The next step starts from that vector while every `p.value` is
+    still the view this object bound; values are never written in place, so
+    it holds their bits. A value rebound in between (load_state_dict) makes
+    the step gather the values afresh, so the rebound one is updated. The
+    moment and update arithmetic runs in buffers this object reuses; no
+    value ever points into them.
     """
 
     def __init__(self, params: list[tuple[str, Node]], lr: float = 1e-3,
@@ -90,13 +94,15 @@ class Adam(object):
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.bounds = np.cumsum([0] + [p.value.size for _, p in self.params])
+        self.bounds = [0, *itertools.accumulate(p.value.size for _, p in self.params)]
         size = self.bounds[-1]
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self._g = np.empty(size)
         self._a = np.empty(size)
         self._b = np.empty(size)
+        self._values = None  # the vector the last step bound the values to
+        self._bound = []     # those values, in parameter order
 
     def step(self) -> None:
         """Apply one update from the gradients currently on the parameters."""
@@ -107,11 +113,15 @@ class Adam(object):
         c2 = 1.0 - self.beta2**self.t
         g = np.concatenate([np.zeros(p.value.size) if p._grad is None else _flat(p._grad)
                             for _, p in self.params], out=self._g)
-        if not np.all(np.isfinite(g)):
+        # g . g is finite unless g holds a NaN or inf, or its squares overflow
+        # (vdot, unlike g @ g, raises no numpy overflow warning for the last)
+        if not math.isfinite(np.vdot(g, g)):
             for name, p in self.params:
                 if p._grad is not None and not np.all(np.isfinite(p._grad)):
                     raise TrainingError(f"non-finite gradient for parameter '{name}'")
-        new = np.concatenate([_flat(p.value) for _, p in self.params])
+        values = self._values
+        if values is None or any(p.value is not b for (_, p), b in zip(self.params, self._bound)):
+            values = np.concatenate([_flat(p.value) for _, p in self.params])
         m, v, a, b = self.m, self.v, self._a, self._b
         # m = beta1 * m + (1 - beta1) * g, and v alike with g * g
         np.multiply(m, self.beta1, out=m)
@@ -128,13 +138,14 @@ class Adam(object):
         np.add(b, self.eps, out=b)
         np.multiply(a, self.lr, out=a)
         np.divide(a, b, out=a)
-        np.subtract(new, a, out=new)
+        new = self._values = np.subtract(values, a)
         for (_, p), lo, hi in zip(self.params, self.bounds[:-1], self.bounds[1:]):
             shape = p.value.shape
             if len(shape) == 2:
                 p.value = new[lo:hi].reshape(shape[::-1]).T
             else:
                 p.value = new[lo:hi].reshape(shape)
+        self._bound = [p.value for _, p in self.params]
 
 
 def _flat(a: np.ndarray) -> np.ndarray:

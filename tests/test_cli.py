@@ -280,37 +280,38 @@ def test_a_job_that_raises_fails_alone_and_the_sweep_exits_3(tmp_path, threads):
     assert [row.split(",")[:3] for row in rows[1:]] == [["none", "0", "0"], ["none", "0.3", "0"]]
 
 
-# runs the CLI with every pruning job killing the process it runs in
-KILLING_PRUNE = """
+# runs the CLI with every quantization job killing the process it runs in
+KILLING_QUANT = """
 import os
 import sys
 import qreg.cli, qreg.training
 
-def prune_model(model, spec):
+def wrap_model(model, config):
     os._exit(1)
 
-qreg.training.prune_model = prune_model
+qreg.training.wrap_model = wrap_model
 sys.exit(qreg.cli.main(sys.argv[1:]))
 """
 
 
 def test_a_killed_pool_worker_fails_its_jobs_and_the_sweep_exits_3(tmp_path):
-    path = tmp_path / "prune.ini"
-    # the pruning jobs go first, so the `none` jobs wait in the pool that their deaths break
-    path.write_text(PRUNING_SWEEP.replace("modes = none,pruning", "modes = pruning,none"))
+    path = tmp_path / "quant.ini"
+    # quantization ranks first in the pool's submission order, so the
+    # `none` jobs wait in the pool that the quantization jobs' deaths break
+    path.write_text(CONFIG.replace("seeds = 0,1", "seeds = 0"))
     env = dict(os.environ, QREG_THREADS="2", PYTHONPATH=os.path.dirname(os.path.dirname(qreg.__file__)))
     outputs = []
     for rerun in range(3):
         out = tmp_path / f"out{rerun}"
-        proc = subprocess.run([sys.executable, "-c", KILLING_PRUNE, "noise-sweep", "--config", str(path),
+        proc = subprocess.run([sys.executable, "-c", KILLING_QUANT, "noise-sweep", "--config", str(path),
                                "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
-        # a job the dying pool takes down with it runs again alone: only the pruning jobs fail
+        # a job the dying pool takes down with it runs again alone: only the quantization jobs fail
         assert proc.returncode == 3
         assert proc.stderr == ""  # no traceback
         failed = [line.split(":")[0].strip() for line in proc.stdout.splitlines() if ": FAILED (" in line]
-        assert failed == ["pruning s=0 seed=0", "pruning s=0.3 seed=0"]
+        assert failed == ["quantization s=0 seed=0", "quantization s=0.3 seed=0"]
         for s in ("0", "0.3"):
-            assert f"pruning s={s} seed=0: FAILED (BrokenProcessPool: " in proc.stdout
+            assert f"quantization s={s} seed=0: FAILED (BrokenProcessPool: " in proc.stdout
         assert proc.stdout.endswith("2 of 4 runs failed; summaries cover the rest\n")
         assert sorted(os.listdir(out)) == ["sweep.csv", "sweep_mean.csv"]  # no temp file left
         rows = (out / "sweep.csv").read_text().splitlines()

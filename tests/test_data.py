@@ -44,6 +44,15 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int), num_classes=2)
 
 
+@pytest.mark.parametrize("bad", [2, -1])
+def test_multitask_labels_outside_0_1_raise(bad):
+    labels = np.array([[0, 1], [1, 0], [0, 0]])
+    assert Dataset(np.zeros((3, 2)), labels, num_tasks=2).labels.tolist() == labels.tolist()
+    labels[1, 1] = bad
+    with pytest.raises(DataError, match=r"^multi-task labels must be 0 or 1$"):
+        Dataset(np.zeros((3, 2)), labels, num_tasks=2)
+
+
 def test_noise_exact_count_and_unselected_untouched():
     ds = toy_single(n=50, c=5)
     noisy, idx = inject_noise(ds, NoiseSpec(fraction=0.3, seed=3))

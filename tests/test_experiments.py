@@ -9,6 +9,7 @@ from qreg.checkpoint import MAGIC_MODEL, read_container
 from qreg.config import parse_config
 from qreg.errors import ConfigError, TrainingError
 from qreg.experiments import (
+    SUBMIT_RANK,
     Job,
     build_datasets,
     build_model,
@@ -464,6 +465,57 @@ def test_the_pool_is_capped_by_trained_jobs_and_usable_cpus(cfg, monkeypatch, cp
     assert sizes == [expected]  # one worker is the serial path, with no pool
 
 
+def test_the_pool_gets_the_longest_expected_jobs_first(monkeypatch):
+    # the patched pool runs jobs on one thread of this process, so no worker process starts
+    submitted = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def submit(self, fn, job):
+            submitted.append((job.mode, job.noise, job.seed))
+            return super().submit(fn, job)
+
+    monkeypatch.setattr(qreg.experiments, "_pool", lambda workers: RecordingPool(1))
+    monkeypatch.setattr(qreg.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = replace(replay_cfg(), epochs=1)
+    # the last job is an early_stopping job with no `none` twin, so it is trained
+    jobs = sweep_jobs(cfg, MODES)[::2] + [Job(cfg=cfg, mode="early_stopping", noise=0.4, seed=1)]
+    assert sorted(SUBMIT_RANK) == sorted(MODES)
+    monkeypatch.setenv("QREG_THREADS", "2")
+    pooled = run_jobs(jobs, quiet=True)
+    assert submitted == [(mode, s, seed) for mode in ("quantization", "dropout", "weight_decay", "none")
+                         for s, seed in ((0.0, 0), (0.4, 0))] + [("early_stopping", 0.4, 1)] + \
+        [(mode, s, seed) for mode in ("label_smoothing", "pruning") for s, seed in ((0.0, 0), (0.4, 0))]
+    monkeypatch.setenv("QREG_THREADS", "1")
+    serial = run_jobs(jobs, quiet=True)
+    assert len(submitted) == 13  # the serial run used no pool
+    assert [r.job for r in pooled] == [r.job for r in serial]
+    assert [[vars(row) for row in r.record.rows] for r in pooled] == \
+        [[vars(row) for row in r.record.rows] for r in serial]
+
+
+def test_a_serial_sweep_builds_the_datasets_once_per_noise_and_seed(cfg, tmp_path, monkeypatch):
+    builds = []
+    real = qreg.experiments.build_datasets
+
+    def counted(*args):
+        builds.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(qreg.experiments, "build_datasets", counted)
+    monkeypatch.delenv("QREG_THREADS", raising=False)
+    qreg.experiments._datasets.cache_clear()
+    three = replace(cfg, modes=("none", "quantization", "dropout"), noise_levels=(0.3,), epochs=1)
+    assert cmd_noise_sweep(three, str(tmp_path / "out"), quiet=True) == 0
+    assert builds == [(0, 0.3), (1, 0.3)]
+    train_ds, val_ds, test_ds = qreg.experiments._datasets(three, 1, 0.3)
+    assert len(builds) == 2  # the last entry is still there
+    for ds in (train_ds, val_ds, test_ds):
+        with pytest.raises(ValueError, match="read-only"):
+            ds.features[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.labels[0] = 0
+
+
 def _blas_threads() -> int:
     return qreg.experiments._openblas().scipy_openblas_get_num_threads64_()
 
@@ -478,5 +530,31 @@ def test_pool_workers_run_blas_on_one_thread():
         with qreg.experiments._pool(2) as pool:
             assert [f.result() for f in [pool.submit(_blas_threads) for _ in range(4)]] == [1] * 4
         assert lib.scipy_openblas_get_num_threads64_() == 2  # the parent keeps its count
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+
+
+def test_a_serial_sweep_runs_blas_on_one_thread_and_restores_the_count(cfg, monkeypatch):
+    lib = qreg.experiments._openblas()
+    if lib is None:
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    seen = []
+
+    def recording_run_job(job):
+        seen.append(_blas_threads())
+        if job.seed == 1:
+            raise KeyboardInterrupt
+        return qreg.experiments._failure(job, RuntimeError("not trained"))
+
+    monkeypatch.setattr(qreg.experiments, "run_job", recording_run_job)
+    monkeypatch.delenv("QREG_THREADS", raising=False)
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        assert len(run_jobs([Job(cfg=cfg, mode="none", noise=0.0, seed=0)], quiet=True)) == 1
+        assert seen == [1] and _blas_threads() == 2
+        with pytest.raises(KeyboardInterrupt):
+            run_jobs([Job(cfg=cfg, mode="none", noise=0.0, seed=seed) for seed in (0, 1)], quiet=True)
+        assert seen == [1, 1, 1] and _blas_threads() == 2
     finally:
         lib.scipy_openblas_set_num_threads64_(before)

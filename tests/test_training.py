@@ -116,6 +116,45 @@ class PerParameterAdam:
             p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+class GatheringAdam(Adam):
+    """Adam's former flat step, which gathers the values every step: the bitwise reference."""
+
+    def step(self):
+        self.t += 1
+        if not self.params:
+            return
+        c1 = 1.0 - self.beta1**self.t
+        c2 = 1.0 - self.beta2**self.t
+        g = np.concatenate([np.zeros(p.value.size) if p._grad is None else qreg.training._flat(p._grad)
+                            for _, p in self.params], out=self._g)
+        if not np.all(np.isfinite(g)):
+            for name, p in self.params:
+                if p._grad is not None and not np.all(np.isfinite(p._grad)):
+                    raise TrainingError(f"non-finite gradient for parameter '{name}'")
+        new = np.concatenate([qreg.training._flat(p.value) for _, p in self.params])
+        m, v, a, b = self.m, self.v, self._a, self._b
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(g, 1.0 - self.beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(g, g, out=a)
+        np.multiply(a, 1.0 - self.beta2, out=a)
+        np.multiply(v, self.beta2, out=v)
+        np.add(v, a, out=v)
+        np.divide(m, c1, out=a)
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, self.eps, out=b)
+        np.multiply(a, self.lr, out=a)
+        np.divide(a, b, out=a)
+        np.subtract(new, a, out=new)
+        for (_, p), lo, hi in zip(self.params, self.bounds[:-1], self.bounds[1:]):
+            shape = p.value.shape
+            if len(shape) == 2:
+                p.value = new[lo:hi].reshape(shape[::-1]).T
+            else:
+                p.value = new[lo:hi].reshape(shape)
+
+
 ADAM_PRESETS = {
     "cnn-small": (lambda rng: build_cnn_small((1, 4, 8), 5, rng), (1, 4, 8)),
     "mlp-small": (lambda rng: build_mlp_small(32, 5, rng), (32,)),
@@ -126,9 +165,10 @@ ADAM_PRESETS = {
 @pytest.mark.parametrize("preset", sorted(ADAM_PRESETS))
 def test_flat_adam_is_bitwise_the_per_parameter_update(preset):
     build, shape = ADAM_PRESETS[preset]
-    models = [build(np.random.default_rng(3)) for _ in range(2)]
+    models = [build(np.random.default_rng(3)) for _ in range(3)]
     flat = Adam(models[0].named_parameters(), lr=1e-2)
     ref = PerParameterAdam(models[1].named_parameters(), lr=1e-2)
+    gathering = GatheringAdam(models[2].named_parameters(), lr=1e-2)
     data = np.random.default_rng(4)
     saw_strided = False
     for step in range(50):
@@ -137,9 +177,13 @@ def test_flat_adam_is_bitwise_the_per_parameter_update(preset):
         if step == 30:  # rebinding values between steps (as an early-stopping restore does)
             for model, snapshot in zip(models, snapshots):
                 model.load_state_dict(snapshot)
+        if step == 40:  # rebinding one value alone
+            for opt in (flat, ref, gathering):
+                p = opt.params[0][1]
+                p.value = p.value * 0.5
         x = data.standard_normal((16,) + shape)
         labels = data.integers(0, 2 if preset == "mlp-multitask" else 5, (16, 5))
-        for model, opt in zip(models, (flat, ref)):
+        for model, opt in zip(models, (flat, ref, gathering)):
             model.train_mode = True
             for _, p in opt.params:
                 p.zero_grad()
@@ -154,13 +198,35 @@ def test_flat_adam_is_bitwise_the_per_parameter_update(preset):
             # a dense weight's gradient is linear's (x.T @ g).T, stored uncopied
             saw_strided |= any(not p._grad.flags.c_contiguous for _, p in opt.params if p._grad is not None)
             opt.step()
-        for (name, a), (_, b) in zip(flat.params, ref.params):
+        for (name, a), (_, b), (_, c) in zip(flat.params, ref.params, gathering.params):
             np.testing.assert_array_equal(a.value, b.value, err_msg=name, strict=True)
+            np.testing.assert_array_equal(a.value, c.value, err_msg=name, strict=True)
+            assert a.value.strides == c.value.strides, name
     assert saw_strided
     # the flat moments hold each 2-D parameter transposed
     for flat_moment, ref_moments in ((flat.m, ref.m), (flat.v, ref.v)):
         expected = np.concatenate([(r.T if r.ndim == 2 else r).reshape(-1) for r in ref_moments])
         np.testing.assert_array_equal(flat_moment, expected, strict=True)
+    np.testing.assert_array_equal(flat.m, gathering.m, strict=True)
+    np.testing.assert_array_equal(flat.v, gathering.v, strict=True)
+
+
+def test_adam_steps_on_finite_gradients_whose_squares_overflow():
+    models = [build_mlp_small(4, 3, np.random.default_rng(0)) for _ in range(2)]
+    opts = [Adam(models[0].named_parameters(), lr=0.1), GatheringAdam(models[1].named_parameters(), lr=0.1)]
+    data = np.random.default_rng(1)
+    for step in range(6):
+        grads = [data.standard_normal(p.value.shape) * (1e200 if step % 2 and i == 1 else 1.0)
+                 for i, (_, p) in enumerate(opts[0].params)]
+        for opt in opts:
+            for (_, p), g in zip(opt.params, grads):
+                p._grad = g
+            with np.errstate(over="ignore"):
+                opt.step()  # g . g overflows on the odd steps; no gradient is non-finite
+        for (name, a), (_, b) in zip(opts[0].params, opts[1].params):
+            np.testing.assert_array_equal(a.value, b.value, err_msg=name, strict=True)
+    np.testing.assert_array_equal(opts[0].v, opts[1].v, strict=True)
+    assert np.isinf(opts[0].v).any()
 
 
 def test_adam_keeps_dense_weights_in_the_layout_linear_reads():
@@ -201,6 +267,28 @@ def test_flat_adam_names_the_parameter_with_a_nonfinite_gradient():
     with pytest.raises(TrainingError, match=f"'{params[3][0]}'"):
         opt.step()
     assert all(p.value is v for (_, p), v in zip(params, before))  # nothing was updated
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("steps_before", [0, 2])
+def test_flat_adam_leaves_every_value_on_a_nonfinite_gradient(bad, steps_before):
+    model = build_mlp_small(4, 3, np.random.default_rng(0))
+    params = model.named_parameters()
+    opt = Adam(params, lr=0.1)
+    for _ in range(steps_before):  # the values are then views of the last step's vector
+        for _, p in params:
+            p._grad = np.ones(p.value.shape)
+        opt.step()
+    for i, (_, p) in enumerate(params):
+        p._grad = np.full(p.value.shape, 1.0)
+        if i == 3:
+            p._grad.flat[-1] = bad
+    before = [(p.value, p.value.copy()) for _, p in params]
+    with pytest.raises(TrainingError, match=f"'{params[3][0]}'"):
+        opt.step()
+    for (name, p), (value, copy) in zip(params, before):  # nothing was updated
+        assert p.value is value, name
+        np.testing.assert_array_equal(p.value, copy, strict=True)
 
 
 def test_adam_validates_hyperparameters():
