@@ -7,10 +7,10 @@
 
 Common flags: --out DIR overrides [experiment] output_dir, --seeds a,b,c
 overrides the seed list, --quiet silences progress lines. Exit codes: 0 on
-success, 2 for configuration or I/O problems (unknown keys name the offending
-key; unreadable configs and unwritable output directories report the OS
-error), 3 when at least one training run failed (summaries still cover the
-rest).
+success, 2 for configuration or I/O problems and any other QregError that
+reaches the command line (unknown keys name the offending key; unreadable
+configs and unwritable output directories report the OS error), 3 when at
+least one training run failed (summaries still cover the rest).
 
 --seeds is read as experiment.seeds is, by qreg.config.read_value. It, and
 the --noise and --mode of train as its one noise level and mode, enter the
@@ -26,7 +26,7 @@ import sys
 from dataclasses import replace
 
 from .config import load_config, read_value
-from .errors import ConfigError
+from .errors import QregError
 from .experiments import cmd_multitask, cmd_noise_sweep, cmd_stability_sweep, cmd_train
 
 
@@ -68,11 +68,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "stability-sweep":
             return cmd_stability_sweep(cfg, out_dir, args.quiet)
         return cmd_multitask(cfg, out_dir, args.quiet)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        # unwritable --out and friends; same exit as an unreadable config
+    except (QregError, OSError) as e:
+        # any error the package raises on purpose (QregError), or an unwritable --out
         print(f"error: {e}", file=sys.stderr)
         return 2
 

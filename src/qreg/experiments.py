@@ -22,15 +22,15 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .checkpoint import MAGIC_MODEL, write_container
-from .config import STABILITY_GRIDS, ExperimentConfig
+from .config import SCHEMA, STABILITY_GRIDS, ExperimentConfig
 from .data import Dataset, NoiseSpec, inject_noise, split, split_count, synth_blobs, synth_multitask
 from .errors import ConfigError, TrainingError
 from .layers import MODEL_PRESETS, Model
@@ -79,11 +79,9 @@ def build_datasets(cfg: ExperimentConfig, seed: int, noise: float) -> tuple[Data
 
 def build_model(cfg: ExperimentConfig, seed: int, dropout_p: float) -> Model:
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    if cfg.preset == "mlp-small":
-        return MODEL_PRESETS[cfg.preset](cfg.dim, cfg.num_classes, rng, dropout_p)
-    if cfg.preset == "cnn-small":
-        return MODEL_PRESETS[cfg.preset](image_shape(cfg.dim), cfg.num_classes, rng, dropout_p)
-    return MODEL_PRESETS[cfg.preset](cfg.dim, cfg.num_tasks, rng, dropout_p)
+    inputs = image_shape(cfg.dim) if cfg.preset == "cnn-small" else cfg.dim
+    outputs = cfg.num_tasks if cfg.data_kind == "multitask" else cfg.num_classes
+    return MODEL_PRESETS[cfg.preset](inputs, outputs, rng, dropout_p)
 
 
 @dataclass(frozen=True)
@@ -126,8 +124,8 @@ def run_job(job: Job) -> JobResult:
 
     A TrainingError fails the job with the epochs that completed; any other
     exception fails it with no epochs and an error that names its type. The
-    datasets come from _datasets, so the next job of the same (cfg, seed,
-    noise) in this process, a pool worker included, does not build them again.
+    datasets come from _datasets, so the next job in this process, a pool
+    worker included, that trains on the same datasets does not build them again.
     """
     cfg = job.cfg
     try:
@@ -143,19 +141,28 @@ def run_job(job: Job) -> JobResult:
     return JobResult(job=job, record=result.record, state=result.model.state_dict(), error=None)
 
 
-@functools.lru_cache(maxsize=1)
-def _datasets(cfg: ExperimentConfig, seed: int, noise: float) -> tuple[Dataset, Dataset, Dataset]:
-    """build_datasets, kept until a job asks for another (cfg, seed, noise).
+# the last build of _datasets, by its key; at most one entry
+_DATASETS: dict[tuple, tuple[Dataset, Dataset, Dataset]] = {}
 
-    The key is every input of build_datasets, so a hit returns what a build
-    would. Every array is read-only, because each job that hits the entry
-    shares it: training only reads its datasets.
+
+def _datasets(cfg: ExperimentConfig, seed: int, noise: float) -> tuple[Dataset, Dataset, Dataset]:
+    """build_datasets, kept until a job asks for other datasets.
+
+    The key is all that build_datasets reads: the [data] fields, the preset,
+    the seed and the noise level. So the variants of a stability sweep, which
+    differ only in what a job trains, share one build, and a hit returns what
+    a build would. Every array is read-only, because each job that hits the
+    entry shares it: training only reads its datasets.
     """
-    built = build_datasets(cfg, seed, noise)
-    for ds in built:
-        ds.features.flags.writeable = False
-        ds.labels.flags.writeable = False
-    return built
+    key = (*(getattr(cfg, f) for f in SCHEMA["data"].values()), cfg.preset, seed, noise)
+    if key not in _DATASETS:
+        built = build_datasets(cfg, seed, noise)
+        for ds in built:
+            ds.features.flags.writeable = False
+            ds.labels.flags.writeable = False
+        _DATASETS.clear()
+        _DATASETS[key] = built
+    return _DATASETS[key]
 
 
 def _failure(job: Job, e: Exception) -> JobResult:
@@ -182,14 +189,6 @@ def _replay(job: Job, settings: TrainSettings) -> JobResult:
     return JobResult(job=job, record=record, state=None)
 
 
-def _twin(job: Job, jobs: list[Job]) -> int | None:
-    """Position in `jobs` of the `none` job an early_stopping job can be replayed from."""
-    if job.mode != "early_stopping":
-        return None
-    none = replace(job, mode="none")
-    return next((i for i, other in enumerate(jobs) if other == none), None)
-
-
 def worker_count() -> int:
     """Worker processes from QREG_THREADS (default 1); ConfigError unless an integer >= 1."""
     raw = os.environ.get("QREG_THREADS", "1")
@@ -202,6 +201,7 @@ def worker_count() -> int:
     return workers
 
 
+@functools.lru_cache(maxsize=1)
 def _openblas() -> ctypes.CDLL | None:
     """The scipy-openblas library numpy loaded, found in /proc/self/maps; None without one."""
     try:
@@ -223,41 +223,20 @@ def _openblas() -> ctypes.CDLL | None:
     return None
 
 
-def _one_blas_thread() -> None:
-    """Pool-worker initializer: run BLAS on one thread in this process.
-
-    A forked worker keeps the parent's BLAS thread count, and workers that
-    each run several oversubscribe the cores. Does nothing when numpy's BLAS
-    is not scipy-openblas.
-    """
-    lib = _openblas()
-    if lib is not None:
-        lib.scipy_openblas_set_num_threads64_(1)
-
-
-@contextmanager
-def _serial_blas():
-    """Run BLAS on one thread in this process for the block, then restore its count.
-
-    A serial sweep's small matmuls gain little from a second BLAS thread and
-    lose much when another process competes for the core. The thread count
-    does not change the bits of a result. Does nothing when numpy's BLAS is
-    not scipy-openblas.
-    """
+def _blas_threads(n: int) -> int | None:
+    """Run scipy-openblas on `n` threads in this process; the count before, or
+    None (and nothing set) when numpy's BLAS is not scipy-openblas."""
     lib = _openblas()
     if lib is None:
-        yield
-        return
+        return None
     before = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads64_(before)
+    lib.scipy_openblas_set_num_threads64_(n)
+    return before
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+    # forked workers inherit this process's modules as they are, and its BLAS thread count
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
 
 
 def _make_out_dir(out_dir: str) -> None:
@@ -269,48 +248,55 @@ def _make_out_dir(out_dir: str) -> None:
 def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
     """Run every job and return results sorted by job coordinates.
 
-    worker_count() > 1 distributes jobs over that many worker processes, each
-    running BLAS on one thread, but never over more than there are trained
-    jobs or usable CPUs. The pool gets the trained jobs longest expected
-    first (SUBMIT_RANK, a stable sort), so the last job to finish is a short
-    one. The default is serial: the jobs run in this process with BLAS on one
-    thread, grouped by (noise, seed) so consecutive jobs share their datasets
-    (see run_job), and the BLAS thread count is restored afterwards. Failures
-    do not stop the batch: if a worker dies, the finished jobs keep their
-    results and each job the broken pool loses runs again alone in a fresh
-    one-worker pool, so only a job that kills its own worker fails
+    BLAS runs on one thread while the jobs run: this process sets
+    scipy-openblas to one thread before the first job and restores the old
+    count afterwards, also when a job raises, and every pool worker is forked
+    from it, so it inherits that count. worker_count() > 1 distributes jobs
+    over that many worker processes, but never over more than there are
+    trained jobs or usable CPUs. The pool gets the trained jobs longest
+    expected first (SUBMIT_RANK, a stable sort), so the last job to finish is
+    a short one. The default is serial: the jobs run in this process, grouped
+    by (noise, seed) so consecutive jobs share their datasets (see run_job).
+    Failures do not stop the batch: if a worker dies, the finished jobs keep
+    their results and each job the broken pool loses runs again alone in a
+    fresh one-worker pool, so only a job that kills its own worker fails
     (BrokenProcessPool). An early_stopping job whose `none` twin (the same job
     in every other field) is in the batch is not trained: once the trained
     jobs are done, run_job replays it from the twin's result in this process,
     with the bytes training would give. Neither order reaches the output:
     results are sorted before anything is printed or returned.
     """
-    twins = [_twin(job, jobs) for job in jobs]
+    position = {job: i for i, job in enumerate(jobs)}
+    twins = [position.get(replace(job, mode="none")) if job.mode == "early_stopping" else None for job in jobs]
     trained = [i for i, t in enumerate(twins) if t is None]
     workers = min(worker_count(), len(trained), len(os.sched_getaffinity(0)))
-    if workers > 1:
-        done, lost = {}, []
-        with _pool(workers) as pool:
-            futures = {pool.submit(run_job, jobs[i]): i
-                       for i in sorted(trained, key=lambda i: SUBMIT_RANK[jobs[i].mode])}
-            for future in as_completed(futures):
-                # run_job raises nothing, so an exception here means a worker died
-                i = futures[future]
-                if future.exception():
-                    lost.append(i)
-                else:
-                    done[i] = future.result()
-        for i in sorted(lost):
-            with _pool(1) as pool:
-                future = pool.submit(run_job, jobs[i])
-                e = future.exception()
-                done[i] = _failure(jobs[i], e) if e else future.result()
-    else:
-        with _serial_blas():
+    blas_before = _blas_threads(1)
+    try:
+        if workers > 1:
+            done, lost = {}, []
+            with _pool(workers) as pool:
+                futures = {pool.submit(run_job, jobs[i]): i
+                           for i in sorted(trained, key=lambda i: SUBMIT_RANK[jobs[i].mode])}
+                for future in as_completed(futures):
+                    # run_job raises nothing, so an exception here means a worker died
+                    i = futures[future]
+                    if future.exception():
+                        lost.append(i)
+                    else:
+                        done[i] = future.result()
+            for i in sorted(lost):
+                with _pool(1) as pool:
+                    future = pool.submit(run_job, jobs[i])
+                    e = future.exception()
+                    done[i] = _failure(jobs[i], e) if e else future.result()
+        else:
             done = {i: run_job(jobs[i]) for i in sorted(trained, key=lambda i: (jobs[i].noise, jobs[i].seed))}
-    for i, t in enumerate(twins):
-        if t is not None:
-            done[i] = run_job(replace(jobs[i], twin=done[t]))
+        for i, t in enumerate(twins):
+            if t is not None:
+                done[i] = run_job(replace(jobs[i], twin=done[t]))
+    finally:
+        if blas_before is not None:
+            _blas_threads(blas_before)
     results = sorted((done[i] for i in range(len(jobs))), key=lambda r: r.job.key)
     if not quiet:
         for r in results:

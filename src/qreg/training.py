@@ -227,13 +227,11 @@ def stop_metric(row: EpochRow, metric: str) -> float:
 
 def _targets(ds, settings: TrainSettings) -> np.ndarray:
     if ds.is_multitask:
-        y = ds.labels.astype(np.float64)
-        if settings.mode == "label_smoothing":
-            y = smooth_labels(y, settings.reg.label_smoothing, 2)
-        return y
-    y = one_hot(ds.labels, ds.num_classes)
+        y, classes = ds.labels.astype(np.float64), 2
+    else:
+        y, classes = one_hot(ds.labels, ds.num_classes), ds.num_classes
     if settings.mode == "label_smoothing":
-        y = smooth_labels(y, settings.reg.label_smoothing, ds.num_classes)
+        y = smooth_labels(y, settings.reg.label_smoothing, classes)
     return y
 
 
@@ -242,8 +240,9 @@ def train(model: Model, train_ds, val_ds, test_ds, settings: TrainSettings) -> T
 
     The returned model is the object to keep using: quantization wraps and
     pruning rebuilds, so it may differ from the argument. On divergence
-    (non-finite loss or gradients) raises TrainingError whose .record holds
-    the rows of all fully completed epochs.
+    (non-finite loss, gradients or metrics) raises TrainingError whose .record
+    holds the rows of all fully completed epochs; the model is left in eval
+    mode either way.
     """
     if train_ds.is_multitask != (model.head == "sigmoid"):
         raise ContractError("dataset task structure does not match the model head")
@@ -252,17 +251,11 @@ def train(model: Model, train_ds, val_ds, test_ds, settings: TrainSettings) -> T
 
     if settings.mode == "quantization":
         model = wrap_model(model, settings.quant)
-    prune_at = None
+    prune_epoch = None
     if settings.mode == "pruning":
         # clamp so at least one fine-tuning epoch remains
-        prune_at = min(settings.prune.warmup_epochs, settings.epochs - 1)
-
-    opt = Adam(model.named_parameters(), settings.learning_rate,
-               settings.beta1, settings.beta2, settings.adam_eps)
+        prune_epoch = min(settings.prune.warmup_epochs, settings.epochs - 1) + 1
     stopping = settings.mode == "early_stopping" or settings.always_early_stop
-    stopper = EarlyStopper(settings.reg.early_stop_patience, settings.reg.early_stop_metric) if stopping else None
-    best_state = None
-    stopper_offset = 0  # rows recorded before the current stopper came alive
 
     record = RunRecord(
         fingerprint=settings.fingerprint,
@@ -270,71 +263,69 @@ def train(model: Model, train_ds, val_ds, test_ds, settings: TrainSettings) -> T
         num_tasks=train_ds.num_tasks,
     )
     targets = _targets(train_ds, settings)
+    loss_fn = binary_ce_loss if train_ds.is_multitask else cross_entropy_loss
     decayed = model.weight_nodes() if settings.mode == "weight_decay" else None
 
-    for epoch in range(1, settings.epochs + 1):
-        if prune_at is not None and epoch == prune_at + 1:
-            model = prune_model(model, settings.prune)
-            opt = Adam(model.named_parameters(), settings.learning_rate,
-                       settings.beta1, settings.beta2, settings.adam_eps)
-            if stopper is not None:
-                stopper = EarlyStopper(settings.reg.early_stop_patience, settings.reg.early_stop_metric)
+    try:
+        for epoch in range(1, settings.epochs + 1):
+            if epoch == prune_epoch:
+                model = prune_model(model, settings.prune)
+            if epoch in (1, prune_epoch):
+                # a fresh optimizer and stopper: after pruning, the old moments and
+                # the best-parameter snapshot refer to removed coordinates
+                opt = Adam(model.named_parameters(), settings.learning_rate,
+                           settings.beta1, settings.beta2, settings.adam_eps)
+                stopper = EarlyStopper(settings.reg.early_stop_patience,
+                                       settings.reg.early_stop_metric) if stopping else None
                 best_state = None
-                stopper_offset = len(record.rows)
-        model.train_mode = True
-        perm = shuffle_rng.permutation(train_ds.n)
-        batch_losses = []
-        for start in range(0, train_ds.n, settings.batch_size):
-            ids = perm[start : start + settings.batch_size]
-            logits = forward(model, train_ds.features[ids], rng=dropout_rng)
-            if train_ds.is_multitask:
-                data_loss = binary_ce_loss(logits, targets[ids])
-            else:
-                data_loss = cross_entropy_loss(logits, targets[ids])
-            if not np.isfinite(data_loss.value):
-                model.train_mode = False
-                raise TrainingError(
-                    f"loss diverged in epoch {epoch}", record=record
-                )
-            loss = data_loss
-            if decayed is not None:
-                loss = T.add(loss, weight_decay_loss(decayed, settings.reg.weight_decay))
-            for _, p in opt.params:
-                p.zero_grad()
-            T.backward(loss)
-            try:
+                stopper_offset = len(record.rows)  # rows recorded before this stopper came alive
+            model.train_mode = True
+            perm = shuffle_rng.permutation(train_ds.n)
+            batch_losses = []
+            for start in range(0, train_ds.n, settings.batch_size):
+                ids = perm[start : start + settings.batch_size]
+                logits = forward(model, train_ds.features[ids], rng=dropout_rng)
+                data_loss = loss_fn(logits, targets[ids])
+                if not np.isfinite(data_loss.value):
+                    raise TrainingError(f"loss diverged in epoch {epoch}")
+                loss = data_loss
+                if decayed is not None:
+                    loss = T.add(loss, weight_decay_loss(decayed, settings.reg.weight_decay))
+                for _, p in opt.params:
+                    p.zero_grad()
+                T.backward(loss)
                 opt.step()
-            except TrainingError as e:
-                model.train_mode = False
-                e.record = record
-                raise
-            batch_losses.append(float(data_loss.value))
+                batch_losses.append(float(data_loss.value))
+
+            train_loss = float(np.mean(batch_losses))
+            val_loss, val_acc, _, _ = evaluate(model, val_ds)
+            _, train_acc, _, _ = evaluate(model, train_ds)
+            test_loss, test_acc, f1, f1_avg = evaluate(model, test_ds)
+            row = EpochRow(
+                epoch=epoch,
+                train_loss=train_loss,
+                val_loss=val_loss,
+                train_acc=train_acc,
+                val_acc=val_acc,
+                test_acc=test_acc,
+                f1=tuple(f1) if f1 is not None else None,
+                f1_avg=f1_avg,
+            )
+            if not all(np.isfinite(v) for v in row.metrics().values()):
+                raise TrainingError(f"metrics diverged in epoch {epoch}")
+            record.rows.append(row)
+
+            if stopper is not None:
+                stop = stopper.step(stop_metric(row, stopper.metric))
+                if stopper.best_epoch == stopper.epoch:
+                    best_state = model.state_dict()
+                if stop:
+                    break
+    except TrainingError as e:
+        e.record = record
+        raise
+    finally:
         model.train_mode = False
-
-        train_loss = float(np.mean(batch_losses))
-        val_loss, val_acc, _, _ = evaluate(model, val_ds)
-        _, train_acc, _, _ = evaluate(model, train_ds)
-        test_loss, test_acc, f1, f1_avg = evaluate(model, test_ds)
-        row = EpochRow(
-            epoch=epoch,
-            train_loss=train_loss,
-            val_loss=val_loss,
-            train_acc=train_acc,
-            val_acc=val_acc,
-            test_acc=test_acc,
-            f1=tuple(f1) if f1 is not None else None,
-            f1_avg=f1_avg,
-        )
-        if not all(np.isfinite(v) for v in row.metrics().values()):
-            raise TrainingError(f"metrics diverged in epoch {epoch}", record=record)
-        record.rows.append(row)
-
-        if stopper is not None:
-            stop = stopper.step(stop_metric(row, stopper.metric))
-            if stopper.best_epoch == stopper.epoch:
-                best_state = model.state_dict()
-            if stop:
-                break
 
     if stopper is not None and best_state is not None:
         model.load_state_dict(best_state)

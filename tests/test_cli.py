@@ -5,7 +5,9 @@ import sys
 import pytest
 
 import qreg
+import qreg.cli
 from qreg.cli import main
+from qreg.errors import DataError
 
 CONFIG = """
 [experiment]
@@ -327,3 +329,14 @@ def test_a_default_section_exits_2_before_any_output(config_file, tmp_path, caps
     assert main(["train", "--config", str(config_file), "--out", str(out), "--quiet"]) == 2
     assert "DEFAULT" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_any_qreg_error_exits_2_with_one_line(config_file, tmp_path, capsys, monkeypatch):
+    def corrupt(*args, **kwargs):
+        raise DataError("state dict mismatch")
+
+    monkeypatch.setattr(qreg.cli, "cmd_train", corrupt)
+    assert main(["train", "--config", str(config_file), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: state dict mismatch\n"
+    assert captured.out == ""

@@ -1,3 +1,5 @@
+import functools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -22,6 +24,7 @@ from qreg.experiments import (
     run_jobs,
 )
 from qreg.training import MODES
+from test_acceptance import STABILITY_INI
 
 SMALL = """
 [experiment]
@@ -503,7 +506,7 @@ def test_a_serial_sweep_builds_the_datasets_once_per_noise_and_seed(cfg, tmp_pat
 
     monkeypatch.setattr(qreg.experiments, "build_datasets", counted)
     monkeypatch.delenv("QREG_THREADS", raising=False)
-    qreg.experiments._datasets.cache_clear()
+    qreg.experiments._DATASETS.clear()
     three = replace(cfg, modes=("none", "quantization", "dropout"), noise_levels=(0.3,), epochs=1)
     assert cmd_noise_sweep(three, str(tmp_path / "out"), quiet=True) == 0
     assert builds == [(0, 0.3), (1, 0.3)]
@@ -520,16 +523,45 @@ def _blas_threads() -> int:
     return qreg.experiments._openblas().scipy_openblas_get_num_threads64_()
 
 
-def test_pool_workers_run_blas_on_one_thread():
+def test_a_stability_sweep_builds_the_datasets_once_per_noise_and_seed(tmp_path, monkeypatch):
+    # the variants differ only in what a job trains, so they share the datasets of a (noise, seed)
+    builds = []
+    real = qreg.experiments.build_datasets
+
+    def counted(*args):
+        builds.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(qreg.experiments, "build_datasets", counted)
+    monkeypatch.delenv("QREG_THREADS", raising=False)
+    qreg.experiments._DATASETS.clear()
+    cfg = replace(parse_config(STABILITY_INI), epochs=1)
+    assert cmd_stability_sweep(cfg, str(tmp_path / "out"), quiet=True) == 0
+    assert builds == [(0, 0.2), (1, 0.2)]
+
+
+def test_pool_workers_run_blas_on_one_thread(cfg, monkeypatch):
     lib = qreg.experiments._openblas()
     if lib is None:
         pytest.skip("numpy's BLAS is not scipy-openblas")
+
+    # forked workers inherit the patch, which pickles by the name it replaces;
+    # each job reports the pid and the BLAS thread count of the process it ran in
+    @functools.wraps(qreg.experiments.run_job)
+    def reporting_run_job(job):
+        return qreg.experiments._failure(job, RuntimeError(f"{os.getpid()} {_blas_threads()}"))
+
+    monkeypatch.setattr(qreg.experiments, "run_job", reporting_run_job)
+    monkeypatch.setattr(qreg.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("QREG_THREADS", "2")
     before = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(2)  # what a forked worker would inherit
+    lib.scipy_openblas_set_num_threads64_(2)
     try:
-        with qreg.experiments._pool(2) as pool:
-            assert [f.result() for f in [pool.submit(_blas_threads) for _ in range(4)]] == [1] * 4
-        assert lib.scipy_openblas_get_num_threads64_() == 2  # the parent keeps its count
+        results = run_jobs([Job(cfg=cfg, mode="none", noise=0.0, seed=seed) for seed in range(4)], quiet=True)
+        reports = [r.error.split()[1:] for r in results]
+        assert [threads for _, threads in reports] == ["1"] * 4
+        assert str(os.getpid()) not in {pid for pid, _ in reports}
+        assert _blas_threads() == 2  # the parent gets its count back
     finally:
         lib.scipy_openblas_set_num_threads64_(before)
 

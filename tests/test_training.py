@@ -7,7 +7,7 @@ from qreg.data import split, synth_blobs, synth_multitask
 from qreg.errors import ContractError, TrainingError
 from qreg.layers import Dense, Dropout, Model, ReLU, build_cnn_small, build_mlp_multitask, build_mlp_small, forward
 from qreg.losses import binary_ce_loss, cross_entropy_loss, one_hot
-from qreg.pruning import PruneSpec
+from qreg.pruning import PruneSpec, prune_model
 from qreg.quantization import QuantConfig, QuantizedLayer
 from qreg.records import RunRecord
 from qreg.regularization import RegularizerConfig
@@ -539,3 +539,84 @@ def test_whole_runs_are_bitwise_those_of_the_per_parameter_adam(case, blob_split
         if "early" in case:  # the run stopped and restored its best epoch's parameters
             assert res.record.best_epoch < len(res.record.rows) < 8
     assert outputs[0] == outputs[1]
+
+
+def test_pruning_with_no_warmup_prunes_before_the_first_epoch(blob_splits, monkeypatch):
+    tr, val, test_ds = blob_splits
+    spec = PruneSpec(ratio=0.5, warmup_epochs=0)
+    widths = []
+    real_forward = qreg.training.forward
+
+    def recording_forward(model, x, rng=None):
+        widths.append(model.layers[0].out_features)
+        return real_forward(model, x, rng)
+
+    monkeypatch.setattr(qreg.training, "forward", recording_forward)
+    settings = TrainSettings(mode="pruning", epochs=6, batch_size=32, seed=5, prune=spec,
+                             always_early_stop=True, reg=RegularizerConfig(early_stop_patience=1))
+    res = train(tiny_model(5), tr, val, test_ds, settings)
+    assert res.model.layers[0].out_features == 8 and res.model.layers[2].in_features == 8
+    assert set(widths) == {8}  # the first training batch already ran on the pruned model
+    # so the run is that of the pruned model trained plainly, its stopper alive from row 1
+    plain = train(prune_model(tiny_model(5), spec), tr, val, test_ds,
+                  TrainSettings(mode="none", epochs=6, batch_size=32, seed=5, always_early_stop=True,
+                                reg=RegularizerConfig(early_stop_patience=1)))
+    assert [vars(r) for r in res.record.rows] == [vars(r) for r in plain.record.rows]
+    assert res.record.best_epoch == plain.record.best_epoch
+    val_loss, _, _, _ = evaluate(res.model, val)
+    assert val_loss == res.record.rows[res.record.best_epoch - 1].val_loss
+
+
+def _nan_loss_from_epoch_2(monkeypatch, model):
+    real = qreg.training.cross_entropy_loss
+    calls = {"n": 0}
+
+    def loss(logits, targets):
+        calls["n"] += 1
+        out = real(logits, targets)
+        if calls["n"] > 4:  # epoch 1 makes 4 calls (1 train batch + 3 evals)
+            out.value = np.array(np.nan)
+        return out
+
+    monkeypatch.setattr(qreg.training, "cross_entropy_loss", loss)
+
+
+def _nan_gradient_from_epoch_2(monkeypatch, model):
+    real = T.backward
+    calls = {"n": 0}
+
+    def backward(loss):
+        real(loss)
+        calls["n"] += 1
+        if calls["n"] > 1:  # one batch per epoch
+            model.layers[0].weight._grad = np.full(model.layers[0].weight.shape, np.nan)
+
+    monkeypatch.setattr(T, "backward", backward)
+
+
+def _nan_accuracy_from_epoch_2(monkeypatch, model):
+    real = qreg.training.accuracy
+    calls = {"n": 0}
+
+    def accuracy(logits, labels):
+        calls["n"] += 1
+        return real(logits, labels) if calls["n"] <= 3 else float("nan")  # 3 evals per epoch
+
+    monkeypatch.setattr(qreg.training, "accuracy", accuracy)
+
+
+@pytest.mark.parametrize("poison, message", [(_nan_loss_from_epoch_2, "loss diverged in epoch 2"),
+                                             (_nan_gradient_from_epoch_2, "non-finite gradient"),
+                                             (_nan_accuracy_from_epoch_2, "metrics diverged in epoch 2")])
+def test_every_training_failure_carries_the_completed_rows_and_leaves_eval_mode(
+        blob_splits, monkeypatch, poison, message):
+    tr, val, test_ds = blob_splits
+    model = tiny_model(0)
+    poison(monkeypatch, model)
+    settings = TrainSettings(mode="none", epochs=4, batch_size=len(tr.labels), seed=0, fingerprint="deadbeef")
+    with pytest.raises(TrainingError, match=message) as err:
+        train(model, tr, val, test_ds, settings)
+    rec = err.value.record
+    assert rec.fingerprint == "deadbeef"
+    assert [r.epoch for r in rec.rows] == [1]
+    assert model.train_mode is False
