@@ -26,7 +26,6 @@ class Dataset:
     labels: np.ndarray
     num_classes: int = 0
     num_tasks: int = 0
-    name: str = ""
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -152,7 +151,7 @@ def synth_blobs(num_classes: int, per_class: int, dim: int, separation: float, s
     labels = np.repeat(np.arange(num_classes), per_class)
     features = means[labels] + rng.standard_normal((labels.size, dim))
     order = rng.permutation(labels.size)
-    return Dataset(features[order], labels[order], num_classes=num_classes, name="blobs")
+    return Dataset(features[order], labels[order], num_classes=num_classes)
 
 
 def synth_multitask(num_tasks: int, n: int, dim: int, seed) -> Dataset:
@@ -176,4 +175,4 @@ def synth_multitask(num_tasks: int, n: int, dim: int, seed) -> Dataset:
         [np.quantile(scores[:, t], 1.0 - priors[t], method="higher") for t in range(num_tasks)]
     )
     labels = (scores > thresholds[None, :]).astype(np.int64)
-    return Dataset(features, labels, num_tasks=num_tasks, name="multitask")
+    return Dataset(features, labels, num_tasks=num_tasks)

@@ -141,32 +141,32 @@ class BatchNorm(Layer):
     params = ("gamma", "beta")
     buffers = ("running_mean", "running_var")
     dim = property(lambda self: self.gamma.shape[0])
+    momentum = BN_MOMENTUM
+    eps = BN_EPS
 
-    def __init__(self, dim: int, momentum: float = BN_MOMENTUM, eps: float = BN_EPS):
-        self.momentum = momentum
-        self.eps = eps
+    def __init__(self, dim: int):
         self.gamma = T.parameter(np.ones(dim))
         self.beta = T.parameter(np.zeros(dim))
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
-    def _axes(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+    def _check(self, shape: tuple[int, ...]) -> None:
         if len(shape) not in (2, 4):
             raise DimensionError(f"batchnorm expects 2-d or 4-d input, got {shape}")
         if shape[1] != self.dim:
             raise DimensionError(f"batchnorm dim {self.dim} vs input feature dim {shape[1]}")
-        return (0,) if len(shape) == 2 else (0, 2, 3)
 
     def infer(self, x, ws):
+        self._check(x.shape)
         out = x if ws.owns(x) else ws.other(x, x.shape)  # never overwrite the caller's batch
-        return T.batch_norm_eval_value(x, self.gamma.value, self.beta.value, self._axes(x.shape),
+        return T.batch_norm_eval_value(x, self.gamma.value, self.beta.value,
                                        self.running_mean, self.running_var, self.eps, out=out)
 
     def forward(self, x: Node, rng) -> Node:
-        axes = self._axes(x.shape)
+        self._check(x.shape)
         if x.shape[0] < 2:
             raise ContractError("batchnorm needs a batch of at least 2 in train mode")
-        out, mu, var = T.batch_norm(x, self.gamma, self.beta, axes, self.eps)
+        out, mu, var = T.batch_norm(x, self.gamma, self.beta, self.eps)
         m = self.momentum
         self.running_mean = m * self.running_mean + (1.0 - m) * mu.reshape(self.dim)
         self.running_var = m * self.running_var + (1.0 - m) * var.reshape(self.dim)
@@ -184,10 +184,10 @@ class PerTaskNorm(BatchNorm):
     kind = "pertasknorm"
     num_tasks = BatchNorm.dim
 
-    def _axes(self, shape):
+    def _check(self, shape):
         if len(shape) != 2:
             raise DimensionError(f"per-task norm expects [N, T] input, got {shape}")
-        return super()._axes(shape)
+        super()._check(shape)
 
 
 class ReLU(Layer):
@@ -239,14 +239,13 @@ class Model:
     cross-entropies (multi-task).
     """
 
-    def __init__(self, layers: list[Layer], head: str, out_dim: int, input_shape: tuple[int, ...], name: str = ""):
+    def __init__(self, layers: list[Layer], head: str, out_dim: int, input_shape: tuple[int, ...]):
         if head not in HEADS:
             raise ContractError(f"unknown head '{head}', expected one of {HEADS}")
         self.layers = list(layers)
         self.head = head
         self.out_dim = out_dim
         self.input_shape = tuple(input_shape)
-        self.name = name
         self.train_mode = False
 
     def named_parameters(self) -> list[tuple[str, Node]]:
@@ -321,50 +320,38 @@ def forward(model: Model, x, rng=None) -> Node:
     return node
 
 
+def _hidden(widths: tuple[int, ...], rng: np.random.Generator, dropout_p: float) -> list[Layer]:
+    """Dense -> ReLU (-> Dropout when dropout_p > 0) between each pair of consecutive widths."""
+    layers: list[Layer] = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        layers += [Dense(fan_in, fan_out, rng), ReLU()]
+        if dropout_p > 0.0:
+            layers.append(Dropout(dropout_p))
+    return layers
+
+
 def build_mlp_small(input_dim: int, num_classes: int, rng: np.random.Generator, dropout_p: float = 0.0) -> Model:
     """Dense input_dim -> 256 -> 128 -> num_classes, softmax head."""
-    layers: list[Layer] = [Dense(input_dim, 256, rng), ReLU()]
-    if dropout_p > 0.0:
-        layers.append(Dropout(dropout_p))
-    layers += [Dense(256, 128, rng), ReLU()]
-    if dropout_p > 0.0:
-        layers.append(Dropout(dropout_p))
-    layers.append(Dense(128, num_classes, rng))
-    return Model(layers, "softmax", num_classes, (input_dim,), name="mlp-small")
+    layers = _hidden((input_dim, 256, 128), rng, dropout_p) + [Dense(128, num_classes, rng)]
+    return Model(layers, "softmax", num_classes, (input_dim,))
 
 
 def build_cnn_small(input_shape: tuple[int, int, int], num_classes: int, rng: np.random.Generator, dropout_p: float = 0.0) -> Model:
     """Two conv+batchnorm blocks then two dense layers, softmax head."""
     c, h, w = input_shape
-    layers: list[Layer] = [
-        Conv2d(c, 8, 3, rng, stride=1, padding=1),
-        BatchNorm(8),
-        ReLU(),
-        Conv2d(8, 16, 3, rng, stride=2, padding=1),
-        BatchNorm(16),
-        ReLU(),
-        Flatten(),
-    ]
-    ho = (h + 2 - 3) // 2 + 1
-    wo = (w + 2 - 3) // 2 + 1
-    flat = 16 * ho * wo
-    layers += [Dense(flat, 64, rng), ReLU()]
-    if dropout_p > 0.0:
-        layers.append(Dropout(dropout_p))
-    layers.append(Dense(64, num_classes, rng))
-    return Model(layers, "softmax", num_classes, tuple(input_shape), name="cnn-small")
+    layers: list[Layer] = []
+    for conv in (Conv2d(c, 8, 3, rng, stride=1, padding=1), Conv2d(8, 16, 3, rng, stride=2, padding=1)):
+        k = conv.weight.shape[2]
+        h, w = (T.conv_size(n, k, conv.stride, conv.padding) for n in (h, w))
+        layers += [conv, BatchNorm(conv.out_channels), ReLU()]
+    layers += [Flatten(), *_hidden((conv.out_channels * h * w, 64), rng, dropout_p), Dense(64, num_classes, rng)]
+    return Model(layers, "softmax", num_classes, tuple(input_shape))
 
 
 def build_mlp_multitask(input_dim: int, num_tasks: int, rng: np.random.Generator, dropout_p: float = 0.0) -> Model:
     """Shared dense trunk then one logit per task, each with its own norm."""
-    layers: list[Layer] = [Dense(input_dim, 128, rng), ReLU()]
-    if dropout_p > 0.0:
-        layers.append(Dropout(dropout_p))
-    layers += [Dense(128, 64, rng), ReLU()]
-    if dropout_p > 0.0:
-        layers.append(Dropout(dropout_p))
-    layers += [Dense(64, num_tasks, rng), PerTaskNorm(num_tasks)]
-    return Model(layers, "sigmoid", num_tasks, (input_dim,), name="mlp-multitask")
+    layers = _hidden((input_dim, 128, 64), rng, dropout_p) + [Dense(64, num_tasks, rng), PerTaskNorm(num_tasks)]
+    return Model(layers, "sigmoid", num_tasks, (input_dim,))
 
 
 MODEL_PRESETS = {

@@ -131,4 +131,4 @@ def prune_model(model: Model, spec: PruneSpec) -> Model:
         elif not isinstance(layer, (ReLU, Flatten, Dropout)):
             raise ContractError(f"cannot prune through layer kind '{layer.kind}'")
         new_layers.append(new)
-    return Model(new_layers, model.head, model.out_dim, model.input_shape, name=model.name)
+    return Model(new_layers, model.head, model.out_dim, model.input_shape)

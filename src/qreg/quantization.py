@@ -209,4 +209,4 @@ def wrap_model(model: Model, cfg: QuantConfig) -> Model:
             continue
         else:
             layers.append(layer)
-    return Model(layers, model.head, model.out_dim, model.input_shape, name=model.name)
+    return Model(layers, model.head, model.out_dim, model.input_shape)

@@ -454,6 +454,11 @@ def straight_through(a: Node, forward: Callable[[Array], Array]) -> Node:
     return node
 
 
+def conv_size(n: int, k: int, stride: int, padding: int) -> int:
+    """Output length of a convolution along one axis of length n, kernel k."""
+    return (n + 2 * padding - k) // stride + 1
+
+
 @functools.lru_cache(maxsize=64)
 def _im2col_index(c: int, h: int, w: int, padding: int, kh: int, kw: int, stride: int) -> Array:
     """Gather columns for one sample, ordered (ho, wo, c, kh, kw).
@@ -463,8 +468,7 @@ def _im2col_index(c: int, h: int, w: int, padding: int, kh: int, kw: int, stride
     Gathering lays out each output position's receptive field as one row of
     the im2col matrix. The index does not depend on the batch size.
     """
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
+    ho, wo = conv_size(h, kh, stride, padding), conv_size(w, kw, stride, padding)
     rows = (np.arange(ho) * stride - padding)[:, None, None, None, None] + np.arange(kh)[None, None, None, :, None]
     cols = (np.arange(wo) * stride - padding)[None, :, None, None, None] + np.arange(kw)[None, None, None, None, :]
     chan = np.arange(c)[None, None, :, None, None]
@@ -512,13 +516,11 @@ def conv2d_value(xv: Array, wv: Array, stride: int = 1, padding: int = 0, bv: Ar
     f, cw, kh, kw = wv.shape
     if cw != c:
         raise DimensionError(f"conv2d: input has {c} channels but kernel expects {cw}")
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    if kh > hp or kw > wp:
+    ho, wo = conv_size(h, kh, stride, padding), conv_size(wd, kw, stride, padding)
+    if ho < 1 or wo < 1:
         raise DimensionError(
-            f"conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}"
+            f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{wd + 2 * padding}"
         )
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
     if bv is not None and bv.size != f:
         raise DimensionError(f"conv2d: bias has {bv.size} entries for {f} filters")
 
@@ -545,7 +547,7 @@ def conv2d_value(xv: Array, wv: Array, stride: int = 1, padding: int = 0, bv: Ar
 def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0, bias: Node | None = None) -> Node:
     """2-d cross-correlation of x [N,C,H,W] with filters w [F,C,kh,kw].
 
-    Output spatial size is floor((H + 2*padding - kh)/stride) + 1 per axis.
+    Output spatial size is conv_size(H, kh, stride, padding) per axis.
     Implemented as im2col (one gather by an index cached per geometry, see
     conv2d_value) + one matmul. The backward scatters the im2col gradient
     into the input gradient with one bincount over a cached index, in an
@@ -581,20 +583,20 @@ def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0, bias: Node | Non
     return Node(out, parents, rule)
 
 
-def _norm_shape(shape: tuple[int, ...], gamma: Array, beta: Array, axes: tuple[int, ...]) -> tuple[int, ...]:
-    """Keepdims shape of the statistics; gamma and beta hold one entry per slot.
+def _norm_shape(shape: tuple[int, ...], gamma: Array, beta: Array) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(axes, kept): the axes batch norm reduces over and the keepdims shape
+    of its statistics; gamma and beta hold one entry per channel.
 
     The axes are the batch axis and every axis after the channel axis, the
     layout _spread lays the statistics out in.
     """
-    if tuple(axes) != (0,) + tuple(range(2, len(shape))):
-        raise ContractError(f"batch_norm normalizes over axes 0, 2, ... of a {len(shape)}-d input, got {axes}")
+    axes = (0, *range(2, len(shape)))
     kept = tuple(1 if i in axes else d for i, d in enumerate(shape))
     size = math.prod(kept)
     for name, p in (("gamma", gamma), ("beta", beta)):
         if p.size != size:
             raise DimensionError(f"batch_norm: {name} has {p.size} entries for statistics of shape {kept}")
-    return kept
+    return axes, kept
 
 
 def _scale_shift(xn: Array, gv: Array, bv: Array, out: Array | None = None) -> Array:
@@ -603,8 +605,8 @@ def _scale_shift(xn: Array, gv: Array, bv: Array, out: Array | None = None) -> A
     return np.add(out, bv, out=out)
 
 
-def batch_norm(x: Node, gamma: Node, beta: Node, axes: tuple[int, ...], eps: float) -> tuple[Node, Array, Array]:
-    """Train-mode batch normalization over `axes` as one node.
+def batch_norm(x: Node, gamma: Node, beta: Node, eps: float) -> tuple[Node, Array, Array]:
+    """Train-mode batch normalization over the batch and spatial axes as one node.
 
     Returns (out, mean, var), the batch statistics in keepdims shape. Stands
     for the composition
@@ -616,7 +618,7 @@ def batch_norm(x: Node, gamma: Node, beta: Node, axes: tuple[int, ...], eps: flo
     over a row; the reductions run on x's own shape, as the composition's do.
     """
     shape = x.shape
-    kept = _norm_shape(shape, gamma.value, beta.value, axes)
+    axes, kept = _norm_shape(shape, gamma.value, beta.value)
     spread = lambda stat: _spread(stat, shape)
     sums = lambda rows: _unbroadcast(rows.reshape(shape), kept)
     xv = x.value
@@ -650,13 +652,13 @@ def batch_norm(x: Node, gamma: Node, beta: Node, axes: tuple[int, ...], eps: flo
     return Node(out.reshape(shape), (x, gamma, beta), rule), mu, var
 
 
-def batch_norm_eval_value(xv: Array, gv: Array, bv: Array, axes: tuple[int, ...], mean: Array,
-                          var: Array, eps: float, out: Array | None = None) -> Array:
+def batch_norm_eval_value(xv: Array, gv: Array, bv: Array, mean: Array, var: Array, eps: float,
+                          out: Array | None = None) -> Array:
     """Eval-mode batch norm on raw arrays, by the running statistics mean and var:
     (x - mean) * (1 / sqrt(var + eps)) * gamma + beta, on [N, C*H*W] rows
     like batch_norm. `out` may be xv itself."""
     shape = xv.shape
-    kept = _norm_shape(shape, gv, bv, axes)
+    _, kept = _norm_shape(shape, gv, bv)
     inv = 1.0 / np.sqrt(var.reshape(kept) + eps)
     rows = np.subtract(_rows(xv), _spread(mean, shape), out=None if out is None else _rows(out))
     np.multiply(rows, _spread(inv, shape), out=rows)

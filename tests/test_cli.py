@@ -247,6 +247,34 @@ def test_negative_seed_override_exits_2(config_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def _python_m_qreg(*args, cwd):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qreg.__file__)))
+    return subprocess.run([sys.executable, "-m", "qreg", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_python_m_qreg_is_the_cli(tmp_path, capsys):
+    proc = _python_m_qreg("--help", cwd=tmp_path)
+    assert proc.returncode == 0 and "noise-sweep" in proc.stdout
+
+    out = tmp_path / "missing_out"
+    proc = _python_m_qreg("train", "--config", str(tmp_path / "missing.ini"), "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and not out.exists()
+
+    path = tmp_path / "one.ini"
+    path.write_text(CONFIG.replace("seeds = 0,1", "seeds = 0").replace("epochs = 3", "epochs = 2"))
+    proc = _python_m_qreg("train", "--config", str(path), "--out", str(tmp_path / "module"), cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "direct")]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    files = {p.name: p.read_bytes() for p in (tmp_path / "module").iterdir()}
+    assert len(files) == 2
+    assert files == {p.name: p.read_bytes() for p in (tmp_path / "direct").iterdir()}
+
+
 PRUNING_SWEEP = (CONFIG.replace("seeds = 0,1", "seeds = 0")
                  .replace("modes = none,quantization", "modes = none,pruning"))
 

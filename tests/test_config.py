@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError, replace
 from operator import attrgetter
 from pathlib import Path
@@ -6,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qreg.config import SCHEMA, UNHASHED, ExperimentConfig, load_config, parse_config
+from qreg.config import PRESETS, SCHEMA, UNHASHED, ExperimentConfig, load_config, parse_config
 from qreg.errors import ConfigError
-from qreg.experiments import cmd_train
+from qreg.experiments import build_model, cmd_train
+from qreg.layers import BatchNorm
+from qreg.quantization import wrap_model
+from qreg.training import MODES
 
 FULL = """
 [experiment]
@@ -453,3 +457,26 @@ def test_readme_config_table_lists_the_schema_keys():
 def test_readme_config_defaults_are_the_defaults(key, default):
     section, name = key.split(".")
     assert parse_config(f"[{section}]\n{name} = {default}\n") == parse_config("")
+
+
+def test_readme_layout_names_each_module_once():
+    root = Path(__file__).resolve().parents[1]
+    layout = (root / "README.md").read_text().split("## Layout\n\n```\n")[1].split("```")[0]
+    named = re.findall(r"^  (\S+\.py)\s", layout, flags=re.MULTILINE)
+    assert sorted(named) == sorted(p.name for p in (root / "src" / "qreg").glob("*.py"))
+
+
+@pytest.mark.parametrize("keep", ["false", "true"])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_the_batch_norm_rule_agrees_with_the_models(preset, keep):
+    # config states by preset name which jobs train a batch norm; the builders
+    # and wrap_model state it by layer type (a PerTaskNorm is a BatchNorm)
+    kind = "multitask" if preset == "mlp-multitask" else "blobs"
+    cfg = parse_config(f"[data]\nkind = {kind}\n[model]\npreset = {preset}\n"
+                       f"[quantization]\nkeep_batchnorm = {keep}\n")
+    for mode in MODES:
+        model = build_model(cfg, 0, cfg.reg.dropout_p if mode == "dropout" else 0.0)
+        if mode == "quantization":
+            model = wrap_model(model, cfg.quant)
+        has_norm = any(isinstance(layer, BatchNorm) for layer in model.layers)
+        assert cfg._keeps_batchnorm(mode) == has_norm, mode
