@@ -10,7 +10,9 @@ overrides the seed list, --quiet silences progress lines. Exit codes: 0 on
 success, 2 for configuration or I/O problems and any other QregError that
 reaches the command line (unknown keys name the offending key; unreadable
 configs and unwritable output directories report the OS error), 3 when at
-least one training run failed (summaries still cover the rest).
+least one training run failed (summaries still cover the rest), 130 when
+Ctrl-C (SIGINT) interrupted the command: one `interrupted` line on stderr
+and no traceback (interrupted while its jobs run, a command writes no file).
 
 --seeds is read as experiment.seeds is, by qreg.config.read_value. It, and
 the --noise and --mode of train as its one noise level and mode, enter the
@@ -72,6 +74,10 @@ def main(argv: list[str] | None = None) -> int:
         # any error the package raises on purpose (QregError), or an unwritable --out
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # Ctrl-C: a command interrupted while its jobs run has written no file
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

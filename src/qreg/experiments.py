@@ -24,6 +24,8 @@ import functools
 import math
 import multiprocessing
 import os
+import signal
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 
@@ -91,7 +93,7 @@ class Job:
     cfg alone says what is trained; extra is only the display label of a
     swept setting (the `hyper` column and the progress line). twin, when
     set, is the finished `none` result that an early_stopping job is
-    replayed from instead of being trained (see run_jobs).
+    replayed from instead of being trained (see _finished).
     """
 
     cfg: ExperimentConfig
@@ -135,7 +137,9 @@ def run_job(job: Job) -> JobResult:
         dropout_p = settings.reg.dropout_p if job.mode == "dropout" else 0.0
         train_ds, val_ds, test_ds = _datasets(cfg, job.seed, job.noise)
         model = build_model(cfg, job.seed, dropout_p)
-        result = train(model, train_ds, val_ds, test_ds, settings)
+        # train fails the job on any non-finite loss, gradient or metric, so numpy's warnings would repeat it
+        with np.errstate(all="ignore"):
+            result = train(model, train_ds, val_ds, test_ds, settings)
     except Exception as e:
         return _failure(job, e)
     return JobResult(job=job, record=result.record, state=result.model.state_dict(), error=None)
@@ -235,8 +239,10 @@ def _blas_threads(n: int) -> int | None:
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
-    # forked workers inherit this process's modules as they are, and its BLAS thread count
-    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+    # forked workers inherit this process's modules as they are, and its BLAS
+    # thread count; SIGINT (Ctrl-C) ends a worker at once, busy or idle, with no traceback
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_DFL))
 
 
 def _make_out_dir(out_dir: str) -> None:
@@ -245,59 +251,80 @@ def _make_out_dir(out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
 
 
+def _pooled(jobs: list[Job], workers: int, retry: bool = True) -> Iterator[JobResult]:
+    """Each job's result from a pool of `workers` processes, as the job finishes.
+
+    The jobs are submitted in the order given. run_job raises nothing, so a
+    future that raises is a job lost with its dying worker. Once the pool is
+    done, each lost job runs again alone in a fresh one-worker pool
+    (retry=False), where a second loss is the job's failure
+    (BrokenProcessPool): so only a job that kills its own worker fails.
+    Leaving early (a KeyboardInterrupt, or a consumer that stops) cancels the
+    queued jobs and waits for the running ones, which Ctrl-C, sent to the
+    whole process group, has ended already (see _pool).
+    """
+    pool, lost = _pool(workers), []
+    try:
+        futures = {pool.submit(run_job, job): job for job in jobs}
+        for future in as_completed(futures):
+            job, e = futures[future], future.exception()
+            if e is not None and retry:
+                lost.append(job)
+            else:
+                yield future.result() if e is None else _failure(job, e)
+    finally:
+        # a SIGINT that reaches this process alone waits until the workers are
+        # gone: one that interrupts this wait leaves them running, and exit hangs
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        pool.shutdown(cancel_futures=True)
+        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+    for job in lost:
+        yield from _pooled([job], 1, retry=False)
+
+
+def _finished(jobs: list[Job]) -> Iterator[JobResult]:
+    """Each job's result, yielded once, as the job finishes.
+
+    worker_count() > 1 distributes the trained jobs over that many worker
+    processes (see _pooled), but never over more than there are trained jobs
+    or usable CPUs. The pool gets them longest expected first (SUBMIT_RANK,
+    a stable sort), so the last job to finish is a short one. The default is
+    serial: the jobs run in this process, grouped by (noise, seed) so
+    consecutive jobs share their datasets (see run_job). An early_stopping
+    job whose `none` twin (the same job in every other field) is in the
+    batch is not trained: as soon as the twin finishes, run_job replays it
+    from the twin's result in this process, with the bytes training would
+    give. The jobs of a batch are distinct.
+    """
+    replayed = {replace(job, mode="early_stopping") for job in jobs if job.mode == "none"}.intersection(jobs)
+    trained = [job for job in jobs if job not in replayed]
+    workers = min(worker_count(), len(trained), len(os.sched_getaffinity(0)))
+    results = (_pooled(sorted(trained, key=lambda job: SUBMIT_RANK[job.mode]), workers) if workers > 1
+               else map(run_job, sorted(trained, key=lambda job: (job.noise, job.seed))))
+    for result in results:
+        yield result
+        es_job = replace(result.job, mode="early_stopping")
+        if result.job.mode == "none" and es_job in replayed:
+            yield run_job(replace(es_job, twin=result))
+
+
 def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
-    """Run every job and return results sorted by job coordinates.
+    """Run every job (see _finished) and return results sorted by job coordinates.
 
     BLAS runs on one thread while the jobs run: this process sets
     scipy-openblas to one thread before the first job and restores the old
     count afterwards, also when a job raises, and every pool worker is forked
-    from it, so it inherits that count. worker_count() > 1 distributes jobs
-    over that many worker processes, but never over more than there are
-    trained jobs or usable CPUs. The pool gets the trained jobs longest
-    expected first (SUBMIT_RANK, a stable sort), so the last job to finish is
-    a short one. The default is serial: the jobs run in this process, grouped
-    by (noise, seed) so consecutive jobs share their datasets (see run_job).
-    Failures do not stop the batch: if a worker dies, the finished jobs keep
-    their results and each job the broken pool loses runs again alone in a
-    fresh one-worker pool, so only a job that kills its own worker fails
-    (BrokenProcessPool). An early_stopping job whose `none` twin (the same job
-    in every other field) is in the batch is not trained: once the trained
-    jobs are done, run_job replays it from the twin's result in this process,
-    with the bytes training would give. Neither order reaches the output:
+    from it, so it inherits that count. Failures do not stop the batch; a
+    KeyboardInterrupt does, and no queued job runs after it. Neither the
+    order in which jobs finish nor the worker count reaches the output:
     results are sorted before anything is printed or returned.
     """
-    position = {job: i for i, job in enumerate(jobs)}
-    twins = [position.get(replace(job, mode="none")) if job.mode == "early_stopping" else None for job in jobs]
-    trained = [i for i, t in enumerate(twins) if t is None]
-    workers = min(worker_count(), len(trained), len(os.sched_getaffinity(0)))
     blas_before = _blas_threads(1)
     try:
-        if workers > 1:
-            done, lost = {}, []
-            with _pool(workers) as pool:
-                futures = {pool.submit(run_job, jobs[i]): i
-                           for i in sorted(trained, key=lambda i: SUBMIT_RANK[jobs[i].mode])}
-                for future in as_completed(futures):
-                    # run_job raises nothing, so an exception here means a worker died
-                    i = futures[future]
-                    if future.exception():
-                        lost.append(i)
-                    else:
-                        done[i] = future.result()
-            for i in sorted(lost):
-                with _pool(1) as pool:
-                    future = pool.submit(run_job, jobs[i])
-                    e = future.exception()
-                    done[i] = _failure(jobs[i], e) if e else future.result()
-        else:
-            done = {i: run_job(jobs[i]) for i in sorted(trained, key=lambda i: (jobs[i].noise, jobs[i].seed))}
-        for i, t in enumerate(twins):
-            if t is not None:
-                done[i] = run_job(replace(jobs[i], twin=done[t]))
+        results = sorted(_finished(jobs), key=lambda r: r.job.key)
     finally:
         if blas_before is not None:
             _blas_threads(blas_before)
-    results = sorted((done[i] for i in range(len(jobs))), key=lambda r: r.job.key)
     if not quiet:
         for r in results:
             label = f"{r.job.mode}{' ' + r.job.extra if r.job.extra else ''} s={r.job.noise:g} seed={r.job.seed}"
@@ -365,12 +392,9 @@ def cmd_noise_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
         for mode in cfg.modes for s in cfg.noise_levels for seed in cfg.seeds
     ]
     results = run_jobs(jobs, quiet)
-    ok = [r for r in results if not r.failed]
 
-    rows = [
-        [r.job.mode, f"{r.job.noise:g}", str(r.job.seed), fmt(r.record.final_test_acc)]
-        for r in ok
-    ]
+    rows = [[r.job.mode, f"{r.job.noise:g}", str(r.job.seed), fmt(r.record.final_test_acc)]
+            for r in results if not r.failed]
     _write_rows(os.path.join(out_dir, "sweep.csv"),
                 ["mode", "s", "seed", "final_test_acc"], rows)
 

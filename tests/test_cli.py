@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 
@@ -247,8 +248,8 @@ def test_negative_seed_override_exits_2(config_file, tmp_path, capsys):
     assert not out.exists()
 
 
-def _python_m_qreg(*args, cwd):
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qreg.__file__)))
+def _python_m_qreg(*args, cwd, **env):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qreg.__file__)), **env)
     return subprocess.run([sys.executable, "-m", "qreg", *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
 
@@ -368,3 +369,93 @@ def test_any_qreg_error_exits_2_with_one_line(config_file, tmp_path, capsys, mon
     captured = capsys.readouterr()
     assert captured.err == "error: state dict mismatch\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_diverging_job_fails_with_nothing_on_stderr(config_file, tmp_path, threads):
+    config_file.write_text(CONFIG + "learning_rate = 1e300\n")  # into [training], the last section
+    proc = _python_m_qreg("train", "--config", str(config_file), "--out", str(tmp_path / "out"),
+                          cwd=tmp_path, QREG_THREADS=threads)
+    assert proc.returncode == 3
+    assert "  none s=0 seed=0: FAILED (loss diverged in epoch 1)\n" in proc.stdout
+    assert proc.stdout.endswith("2 of 2 runs failed\n")
+    assert proc.stderr == ""  # the FAILED lines say it all: no numpy RuntimeWarning
+
+
+# runs the CLI, counting the jobs that start and end. The first quantization
+# job to build its model sends SIGINT, once: to the whole process group, as
+# Ctrl-C does ("group"), the same once another job has ended and its worker
+# waits for work ("idle"), or twice to the sweep process alone, as `kill -INT`
+# does ("parent-twice"), while the job goes on
+INTERRUPTING_QUANT = """
+import os
+import signal
+import sys
+import time
+import qreg.cli, qreg.experiments, qreg.training
+
+marks, how = sys.argv[1], sys.argv[2]
+build_model, train, wrap_model = qreg.experiments.build_model, qreg.experiments.train, qreg.training.wrap_model
+
+def counted_build_model(*args):
+    with open(os.path.join(marks, "starts"), "a") as fh:
+        fh.write("job\\n")
+    return build_model(*args)
+
+def marked_train(*args):
+    result = train(*args)
+    with open(os.path.join(marks, "ends"), "a") as fh:
+        fh.write("job\\n")
+    return result
+
+def interrupting_wrap_model(model, config):
+    try:
+        os.close(os.open(os.path.join(marks, "pressed"), os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return wrap_model(model, config)
+    while how == "idle" and not os.path.exists(os.path.join(marks, "ends")):
+        time.sleep(0.01)
+    if how == "parent-twice":
+        os.kill(os.getppid(), signal.SIGINT)
+        time.sleep(0.3)  # the sweep now waits for this job
+        os.kill(os.getppid(), signal.SIGINT)
+    else:
+        time.sleep(0.2 if how == "idle" else 0.0)  # the worker that ran the other job now waits for work
+        os.killpg(0, signal.SIGINT)
+    return wrap_model(model, config)
+
+qreg.experiments.build_model = counted_build_model
+qreg.experiments.train = marked_train
+qreg.training.wrap_model = interrupting_wrap_model
+sys.exit(qreg.cli.main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.parametrize("threads, jobs, how", [("1", 12, "group"), ("2", 12, "group"), ("2", 2, "idle"),
+                                                ("2", 12, "parent-twice")])
+def test_ctrl_c_stops_a_sweep_with_exit_130_and_one_line(tmp_path, threads, jobs, how):
+    path, marks, out = tmp_path / "exp.ini", tmp_path / "marks", tmp_path / "out"
+    if jobs == 12:  # jobs are queued when the first quantization job sends SIGINT
+        path.write_text(CONFIG.replace("seeds = 0,1", "seeds = 0,1,2"))
+    else:  # the `none` job ends, and then its worker has nothing left to run
+        path.write_text(CONFIG.replace("seeds = 0,1", "seeds = 0").replace("0.0,0.3", "0.0"))
+    marks.mkdir()
+    env = dict(os.environ, QREG_THREADS=threads, PYTHONPATH=os.path.dirname(os.path.dirname(qreg.__file__)))
+    # a session of its own, so the SIGINT reaches the sweep and its pool workers, never pytest
+    proc = subprocess.Popen([sys.executable, "-c", INTERRUPTING_QUANT, str(marks), how, "noise-sweep",
+                             "--config", str(path), "--out", str(out)], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=120)
+    finally:
+        if proc.returncode is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
+    assert stderr == "interrupted\n"  # no traceback, from the sweep or from a worker
+    assert stdout == ""
+    assert os.listdir(out) == []  # no file, temp files included
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # no worker outlived the sweep
+    starts = (marks / "starts").read_text().count("job")
+    assert (starts == 2) if jobs == 2 else (1 <= starts < jobs)  # no queued job ran

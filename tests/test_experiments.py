@@ -13,6 +13,7 @@ from qreg.errors import ConfigError, TrainingError
 from qreg.experiments import (
     SUBMIT_RANK,
     Job,
+    JobResult,
     build_datasets,
     build_model,
     cmd_multitask,
@@ -23,6 +24,7 @@ from qreg.experiments import (
     run_job,
     run_jobs,
 )
+from qreg.records import RunRecord
 from qreg.training import MODES
 from test_acceptance import STABILITY_INI
 
@@ -494,6 +496,47 @@ def test_the_pool_gets_the_longest_expected_jobs_first(monkeypatch):
     assert [r.job for r in pooled] == [r.job for r in serial]
     assert [[vars(row) for row in r.record.rows] for r in pooled] == \
         [[vars(row) for row in r.record.rows] for r in serial]
+
+
+@pytest.mark.parametrize("threads, losses", [("1", 0), ("2", 0), ("2", 1), ("2", 2)],
+                         ids=["serial", "pooled", "lost-then-retried", "lost-twice"])
+def test_every_job_is_yielded_once_and_a_replay_right_after_its_twin(monkeypatch, threads, losses):
+    cfg = replace(replay_cfg(), epochs=1)
+    jobs = sweep_jobs(cfg)  # none, early_stopping and weight_decay x 2 noise levels x 2 seeds
+    lost = Job(cfg=cfg, mode="none", noise=0.4, seed=1)
+    left, calls, sizes = {lost: losses}, [], []
+
+    def stub_run_job(job):
+        # trains nothing; `lost` raises on its first `losses` calls, as the future of a dying worker does
+        calls.append(job)
+        if left.get(job):
+            left[job] -= 1
+            raise RuntimeError("worker died")
+        return JobResult(job=replace(job, twin=None), record=RunRecord(fingerprint=job.mode, seed=job.seed),
+                         state=None)
+
+    def pool(workers):
+        sizes.append(workers)
+        return ThreadPoolExecutor(1)  # runs the jobs on a thread of this process, so no process starts
+
+    monkeypatch.setattr(qreg.experiments, "run_job", stub_run_job)
+    monkeypatch.setattr(qreg.experiments, "_pool", pool)
+    monkeypatch.setattr(qreg.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("QREG_THREADS", threads)
+    results = list(qreg.experiments._finished(jobs))
+
+    assert sorted(r.job.key for r in results) == sorted(job.key for job in jobs)  # each job exactly once
+    assert len(calls) == len(jobs) + (losses > 0)  # each through run_job, and a lost job once more
+    assert sizes == {"1": [], "2": [2]}[threads] + [1] * (losses > 0)  # a lost job runs again alone
+    assert [r.failed for r in results] == [r.job == lost and losses == 2 for r in results]
+    if losses == 2:
+        assert next(r for r in results if r.job == lost).error == "RuntimeError: worker died"
+    # only `none` results are twins, and each replay follows its twin at once
+    replays = [job for job in calls if job.twin is not None]
+    assert sorted(job.key for job in replays) == sorted(job.key for job in jobs if job.mode == "early_stopping")
+    for job in replays:
+        i = next(i for i, r in enumerate(results) if r.job == job)
+        assert results[i - 1] is job.twin and job.twin.job == replace(job, mode="none")
 
 
 def test_a_serial_sweep_builds_the_datasets_once_per_noise_and_seed(cfg, tmp_path, monkeypatch):
