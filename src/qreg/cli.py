@@ -10,9 +10,14 @@ overrides the seed list, --quiet silences progress lines. Exit codes: 0 on
 success, 2 for configuration or I/O problems and any other QregError that
 reaches the command line (unknown keys name the offending key; unreadable
 configs and unwritable output directories report the OS error), 3 when at
-least one training run failed (summaries still cover the rest), 130 when
-Ctrl-C (SIGINT) interrupted the command: one `interrupted` line on stderr
-and no traceback (interrupted while its jobs run, a command writes no file).
+least one training run failed (summaries still cover the rest), and 128 +
+the signal number when a signal interrupted the command: 130 for Ctrl-C or
+`kill -INT` (SIGINT), 143 for SIGTERM. An interrupted command writes one
+`interrupted` line on stderr and no traceback, stops every job process it
+started, and, interrupted while its jobs run, writes no file. main handles
+SIGTERM as it handles SIGINT only while it runs, and then restores the
+handler it found; run in another thread than the main one, it leaves both
+signals to the main thread.
 
 --seeds is read as experiment.seeds is, by qreg.config.read_value. It, and
 the --noise and --mode of train as its one noise level and mode, enter the
@@ -24,7 +29,9 @@ key, before any output directory exists.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+import threading
 from dataclasses import replace
 
 from .config import load_config, read_value
@@ -56,8 +63,16 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    # SIGTERM interrupts as Ctrl-C does, with a KeyboardInterrupt that carries
+    # its number; only the main thread may set a handler, and only it gets one
+    handles = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _interrupt) if handles else None
     try:
         cfg = load_config(args.config)
         if args.seeds is not None:
@@ -74,10 +89,13 @@ def main(argv: list[str] | None = None) -> int:
         # any error the package raises on purpose (QregError), or an unwritable --out
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:
-        # Ctrl-C: a command interrupted while its jobs run has written no file
+    except KeyboardInterrupt as e:
+        # a command interrupted while its jobs run has written no file
         print("interrupted", file=sys.stderr)
-        return 130
+        return 128 + (e.args[0] if e.args else signal.SIGINT)
+    finally:
+        if handles:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

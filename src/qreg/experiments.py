@@ -22,11 +22,10 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,12 +42,15 @@ from .training import MODES, TrainSettings, replay_early_stopping, train
 # the multitask protocol early-stops every mode, so the standalone mode is moot
 MULTITASK_MODES = tuple(m for m in MODES if m != "early_stopping")
 
-# Pool submission rank of a trained job's mode, longest expected job first
-# (the LPT rule), so no worker is left with a long job when the others are
-# done. Measured serial seconds per job rank the modes alike on every preset;
-# an early_stopping job trained alone costs at most its `none` twin.
+# Fork rank of a pooled job's mode, longest expected job first (the LPT
+# rule), so no long job is still running alone when the others are done.
+# Measured serial seconds per job rank the modes alike on every preset; an
+# early_stopping job trained alone costs at most its `none` twin.
 SUBMIT_RANK = {"quantization": 0, "dropout": 1, "weight_decay": 2, "none": 3, "early_stopping": 3,
                "label_smoothing": 4, "pruning": 5}
+
+# the signals that interrupt a sweep (see cli.main); a job process dies of them
+INTERRUPTS = {signal.SIGINT, signal.SIGTERM}
 
 
 def image_shape(dim: int) -> tuple[int, int, int]:
@@ -88,7 +90,7 @@ def build_model(cfg: ExperimentConfig, seed: int, dropout_p: float) -> Model:
 
 @dataclass(frozen=True)
 class Job:
-    """One training run of a resolved config; sort key and process-pool work unit.
+    """One training run of a resolved config; sort key and unit of work of a job process.
 
     cfg alone says what is trained; extra is only the display label of a
     swept setting (the `hyper` column and the progress line). twin, when
@@ -126,8 +128,9 @@ def run_job(job: Job) -> JobResult:
 
     A TrainingError fails the job with the epochs that completed; any other
     exception fails it with no epochs and an error that names its type. The
-    datasets come from _datasets, so the next job in this process, a pool
-    worker included, that trains on the same datasets does not build them again.
+    datasets come from _datasets, so the next job in this process that trains
+    on the same datasets does not build them again. A pooled job runs in a
+    process of its own (see _forked), which shares no build with another.
     """
     cfg = job.cfg
     try:
@@ -156,7 +159,8 @@ def _datasets(cfg: ExperimentConfig, seed: int, noise: float) -> tuple[Dataset, 
     the seed and the noise level. So the variants of a stability sweep, which
     differ only in what a job trains, share one build, and a hit returns what
     a build would. Every array is read-only, because each job that hits the
-    entry shares it: training only reads its datasets.
+    entry shares it: training only reads its datasets. A forked job process
+    inherits the entry its parent holds, and its own build stays its own.
     """
     key = (*(getattr(cfg, f) for f in SCHEMA["data"].values()), cfg.preset, seed, noise)
     if key not in _DATASETS:
@@ -170,7 +174,7 @@ def _datasets(cfg: ExperimentConfig, seed: int, noise: float) -> tuple[Dataset, 
 
 
 def _failure(job: Job, e: Exception) -> JobResult:
-    """The result of a job that raised `e`, in run_job or in a worker that died."""
+    """The result of a job that raised `e` in run_job, or whose process died (`e` says how)."""
     cfg = job.cfg
     record = e.record if isinstance(e, TrainingError) else None
     if record is None:
@@ -238,57 +242,71 @@ def _blas_threads(n: int) -> int | None:
     return before
 
 
-def _pool(workers: int) -> ProcessPoolExecutor:
-    # forked workers inherit this process's modules as they are, and its BLAS
-    # thread count; SIGINT (Ctrl-C) ends a worker at once, busy or idle, with no traceback
-    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_DFL))
-
-
 def _make_out_dir(out_dir: str) -> None:
     # settle QREG_THREADS first, so a bad value leaves no empty directory behind
     worker_count()
     os.makedirs(out_dir, exist_ok=True)
 
 
-def _pooled(jobs: list[Job], workers: int, retry: bool = True) -> Iterator[JobResult]:
-    """Each job's result from a pool of `workers` processes, as the job finishes.
+def _child(job: Job, sender: multiprocessing.connection.Connection) -> None:
+    # the handlers inherited from the sweep would raise KeyboardInterrupt here;
+    # a job process ends at once on SIGINT or SIGTERM, with no traceback
+    for signum in INTERRUPTS:
+        signal.signal(signum, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, INTERRUPTS)  # blocked by _forked until now
+    sender.send(run_job(job))
 
-    The jobs are submitted in the order given. run_job raises nothing, so a
-    future that raises is a job lost with its dying worker. Once the pool is
-    done, each lost job runs again alone in a fresh one-worker pool
-    (retry=False), where a second loss is the job's failure
-    (BrokenProcessPool): so only a job that kills its own worker fails.
-    Leaving early (a KeyboardInterrupt, or a consumer that stops) cancels the
-    queued jobs and waits for the running ones, which Ctrl-C, sent to the
-    whole process group, has ended already (see _pool).
+
+def _forked(jobs: list[Job], workers: int) -> Iterator[JobResult]:
+    """Each job's result from a process of its own, forked from this one, as the job finishes.
+
+    The jobs are forked in the order given, and at most `workers` of them
+    run at once: the next job is forked only when one ends, so no job waits
+    in a queue. A process inherits this one's modules as they are (a patched
+    run_job included) and its BLAS thread count, and sends run_job's result
+    back through a pipe. run_job raises nothing, so a process that ends
+    without sending a whole result died with its job, and only that job
+    fails. Leaving early (an interrupt, or a consumer that stops) kills and
+    joins every process still running.
     """
-    pool, lost = _pool(workers), []
+    fork, running = multiprocessing.get_context("fork"), {}
     try:
-        futures = {pool.submit(run_job, job): job for job in jobs}
-        for future in as_completed(futures):
-            job, e = futures[future], future.exception()
-            if e is not None and retry:
-                lost.append(job)
-            else:
-                yield future.result() if e is None else _failure(job, e)
+        for i, job in enumerate(jobs, 1):
+            receiver, sender = fork.Pipe(duplex=False)
+            process = fork.Process(target=_child, args=(job, sender))
+            # an interrupt between the fork and the record in `running` would
+            # leave the process unknown to the finally, so it waits until then
+            masked = signal.pthread_sigmask(signal.SIG_BLOCK, INTERRUPTS)
+            try:
+                process.start()
+                running[receiver] = job, process
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, masked)
+            sender.close()  # the process holds the only writing end, so its death is EOF here
+            # wait for a free slot, and after the last job for every result
+            while running and (len(running) == workers or i == len(jobs)):
+                receiver = multiprocessing.connection.wait(list(running))[0]
+                done, process = running.pop(receiver)
+                try:
+                    result = receiver.recv()
+                except (EOFError, OSError):  # no message, or part of one: the process died
+                    result = None
+                process.join()
+                yield result or _failure(done, ChildProcessError(f"job process exited with code {process.exitcode}"))
     finally:
-        # a SIGINT that reaches this process alone waits until the workers are
-        # gone: one that interrupts this wait leaves them running, and exit hangs
-        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        pool.shutdown(cancel_futures=True)
-        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-    for job in lost:
-        yield from _pooled([job], 1, retry=False)
+        for _, process in running.values():
+            process.kill()
+        for _, process in running.values():
+            process.join()
 
 
 def _finished(jobs: list[Job]) -> Iterator[JobResult]:
     """Each job's result, yielded once, as the job finishes.
 
-    worker_count() > 1 distributes the trained jobs over that many worker
-    processes (see _pooled), but never over more than there are trained jobs
-    or usable CPUs. The pool gets them longest expected first (SUBMIT_RANK,
-    a stable sort), so the last job to finish is a short one. The default is
+    worker_count() > 1 runs that many trained jobs at once, each in a process
+    of its own (see _forked), but never more than there are trained jobs or
+    usable CPUs. They are forked longest expected first (SUBMIT_RANK, a
+    stable sort), so the last job to finish is a short one. The default is
     serial: the jobs run in this process, grouped by (noise, seed) so
     consecutive jobs share their datasets (see run_job). An early_stopping
     job whose `none` twin (the same job in every other field) is in the
@@ -299,7 +317,7 @@ def _finished(jobs: list[Job]) -> Iterator[JobResult]:
     replayed = {replace(job, mode="early_stopping") for job in jobs if job.mode == "none"}.intersection(jobs)
     trained = [job for job in jobs if job not in replayed]
     workers = min(worker_count(), len(trained), len(os.sched_getaffinity(0)))
-    results = (_pooled(sorted(trained, key=lambda job: SUBMIT_RANK[job.mode]), workers) if workers > 1
+    results = (_forked(sorted(trained, key=lambda job: SUBMIT_RANK[job.mode]), workers) if workers > 1
                else map(run_job, sorted(trained, key=lambda job: (job.noise, job.seed))))
     for result in results:
         yield result
@@ -313,11 +331,11 @@ def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
 
     BLAS runs on one thread while the jobs run: this process sets
     scipy-openblas to one thread before the first job and restores the old
-    count afterwards, also when a job raises, and every pool worker is forked
+    count afterwards, also when a job raises, and every job process is forked
     from it, so it inherits that count. Failures do not stop the batch; a
-    KeyboardInterrupt does, and no queued job runs after it. Neither the
-    order in which jobs finish nor the worker count reaches the output:
-    results are sorted before anything is printed or returned.
+    KeyboardInterrupt does, and no job starts or goes on running after it.
+    Neither the order in which jobs finish nor the worker count reaches the
+    output: results are sorted before anything is printed or returned.
     """
     blas_before = _blas_threads(1)
     try:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError
+from .errors import ContractError, TrainingError
 from .layers import BatchNorm, Conv2d, Dense, Layer, Model, PerTaskNorm
 from .tensor import Node
 
@@ -118,15 +118,15 @@ def act_scale_update(layer: QuantizedLayer, batch: np.ndarray, momentum: float) 
 
     lambda <- momentum*lambda + (1 - momentum)*max|batch| after calibration;
     the very first batch sets lambda = max|batch| directly. max|X| is taken
-    as max(max X, -min X), with no |X| temporary. A NaN or infinite entry
-    raises a ContractError.
+    as max(max X, -min X), with no |X| temporary. A NaN or infinite entry,
+    which only diverged weights upstream produce, raises a TrainingError.
     """
     if not 0.0 < momentum < 1.0:
         raise ContractError(f"ema momentum must lie in (0, 1), got {momentum}")
     batch = np.asarray(batch)
     peak = max(float(batch.max()), -float(batch.min())) if batch.size else 0.0
     if not np.isfinite(peak):  # a NaN is both the max and the min
-        raise ContractError("activation batch contains non-finite values")
+        raise TrainingError("activation batch contains non-finite values")
     peak = max(peak, SCALE_FLOOR)
     if not layer.calibrated:
         layer.act_scale = peak

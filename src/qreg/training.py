@@ -240,9 +240,9 @@ def train(model: Model, train_ds, val_ds, test_ds, settings: TrainSettings) -> T
 
     The returned model is the object to keep using: quantization wraps and
     pruning rebuilds, so it may differ from the argument. On divergence
-    (non-finite loss, gradients or metrics) raises TrainingError whose .record
-    holds the rows of all fully completed epochs; the model is left in eval
-    mode either way.
+    (non-finite loss, gradients, quantized activations or metrics) raises
+    TrainingError whose .record holds the rows of all fully completed epochs;
+    the model is left in eval mode either way.
     """
     if train_ds.is_multitask != (model.head == "sigmoid"):
         raise ContractError("dataset task structure does not match the model head")
@@ -284,7 +284,10 @@ def train(model: Model, train_ds, val_ds, test_ds, settings: TrainSettings) -> T
             batch_losses = []
             for start in range(0, train_ds.n, settings.batch_size):
                 ids = perm[start : start + settings.batch_size]
-                logits = forward(model, train_ds.features[ids], rng=dropout_rng)
+                try:
+                    logits = forward(model, train_ds.features[ids], rng=dropout_rng)
+                except TrainingError as e:  # a quantizer met non-finite activations
+                    raise TrainingError(f"activations diverged in epoch {epoch}") from e
                 data_loss = loss_fn(logits, targets[ids])
                 if not np.isfinite(data_loss.value):
                     raise TrainingError(f"loss diverged in epoch {epoch}")

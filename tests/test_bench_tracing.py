@@ -2,7 +2,7 @@
 
 The bench traces a command by replacing engine functions where they are
 looked up, so a refactor that renames one of them, changes the signature of
-a job wrapper or stops forking pool workers breaks `bench/run.py --trace 1`.
+a job wrapper or stops forking job processes breaks `bench/run.py --trace 1`.
 These tests fail first. bench/tracing.py is loaded from its file, as the
 bench loads it, and not changed. The last test runs bench/child.py itself,
 serial and pooled, and checks that the trace holds one run_job span per job.
@@ -20,6 +20,9 @@ from pathlib import Path
 import pytest
 
 import qreg.experiments
+from qreg.config import ExperimentConfig
+from qreg.experiments import Job, JobResult
+from qreg.records import RunRecord
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
@@ -63,13 +66,15 @@ def test_the_job_wrappers_keep_the_signatures_the_tracer_wraps():
     assert list(inspect.signature(qreg.experiments.run_jobs).parameters) == ["jobs", "quiet"]
 
 
-def test_pool_workers_are_forked():
-    # the tracer's spans come back from workers that inherit its patched modules
-    pool = qreg.experiments._pool(2)
-    try:
-        assert pool._mp_context.get_start_method() == "fork"
-    finally:
-        pool.shutdown()
+def test_pool_workers_are_forked(monkeypatch):
+    # the tracer's spans come back from job processes that run its patched run_job
+    def patched_run_job(job):
+        return JobResult(job=job, record=RunRecord(fingerprint=str(os.getpid()), seed=job.seed), state=None)
+
+    monkeypatch.setattr(qreg.experiments, "run_job", patched_run_job)
+    [result] = qreg.experiments._forked([Job(cfg=ExperimentConfig(), mode="none", noise=0.0, seed=0)], 1)
+    assert not result.failed
+    assert result.record.fingerprint != str(os.getpid())  # run in another process
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -2,6 +2,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -327,8 +328,8 @@ sys.exit(qreg.cli.main(sys.argv[1:]))
 
 def test_a_killed_pool_worker_fails_its_jobs_and_the_sweep_exits_3(tmp_path):
     path = tmp_path / "quant.ini"
-    # quantization ranks first in the pool's submission order, so the
-    # `none` jobs wait in the pool that the quantization jobs' deaths break
+    # quantization ranks first in the fork order, so the `none` jobs start
+    # while and after the quantization jobs' processes die
     path.write_text(CONFIG.replace("seeds = 0,1", "seeds = 0"))
     env = dict(os.environ, QREG_THREADS="2", PYTHONPATH=os.path.dirname(os.path.dirname(qreg.__file__)))
     outputs = []
@@ -336,13 +337,14 @@ def test_a_killed_pool_worker_fails_its_jobs_and_the_sweep_exits_3(tmp_path):
         out = tmp_path / f"out{rerun}"
         proc = subprocess.run([sys.executable, "-c", KILLING_QUANT, "noise-sweep", "--config", str(path),
                                "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
-        # a job the dying pool takes down with it runs again alone: only the quantization jobs fail
+        # a process that dies takes no other job with it: only the quantization jobs fail
         assert proc.returncode == 3
         assert proc.stderr == ""  # no traceback
         failed = [line.split(":")[0].strip() for line in proc.stdout.splitlines() if ": FAILED (" in line]
         assert failed == ["quantization s=0 seed=0", "quantization s=0.3 seed=0"]
         for s in ("0", "0.3"):
-            assert f"quantization s={s} seed=0: FAILED (BrokenProcessPool: " in proc.stdout
+            assert f"quantization s={s} seed=0: FAILED (ChildProcessError: job process exited with code 1)" \
+                in proc.stdout
         assert proc.stdout.endswith("2 of 4 runs failed; summaries cover the rest\n")
         assert sorted(os.listdir(out)) == ["sweep.csv", "sweep_mean.csv"]  # no temp file left
         rows = (out / "sweep.csv").read_text().splitlines()
@@ -383,10 +385,11 @@ def test_a_diverging_job_fails_with_nothing_on_stderr(config_file, tmp_path, thr
 
 
 # runs the CLI, counting the jobs that start and end. The first quantization
-# job to build its model sends SIGINT, once: to the whole process group, as
-# Ctrl-C does ("group"), the same once another job has ended and its worker
-# waits for work ("idle"), or twice to the sweep process alone, as `kill -INT`
-# does ("parent-twice"), while the job goes on
+# job to build its model sends a signal, once: SIGINT to the whole process
+# group, as Ctrl-C does ("group"), the same once the other job has ended and
+# none is left to start ("idle"), SIGINT twice to the sweep process alone, as
+# `kill -INT` does ("parent-twice"), or SIGTERM to the sweep process alone, as
+# `kill` and `timeout` do ("term"), while the job goes on
 INTERRUPTING_QUANT = """
 import os
 import signal
@@ -394,7 +397,7 @@ import sys
 import time
 import qreg.cli, qreg.experiments, qreg.training
 
-marks, how = sys.argv[1], sys.argv[2]
+marks, how, sweep = sys.argv[1], sys.argv[2], os.getpid()
 build_model, train, wrap_model = qreg.experiments.build_model, qreg.experiments.train, qreg.training.wrap_model
 
 def counted_build_model(*args):
@@ -416,11 +419,13 @@ def interrupting_wrap_model(model, config):
     while how == "idle" and not os.path.exists(os.path.join(marks, "ends")):
         time.sleep(0.01)
     if how == "parent-twice":
-        os.kill(os.getppid(), signal.SIGINT)
-        time.sleep(0.3)  # the sweep now waits for this job
-        os.kill(os.getppid(), signal.SIGINT)
+        os.kill(sweep, signal.SIGINT)
+        time.sleep(0.3)  # the sweep kills this job first, so the second one is sent only if it does not
+        os.kill(sweep, signal.SIGINT)
+    elif how == "term":
+        os.kill(sweep, signal.SIGTERM)
     else:
-        time.sleep(0.2 if how == "idle" else 0.0)  # the worker that ran the other job now waits for work
+        time.sleep(0.2 if how == "idle" else 0.0)  # the process that ran the other job has now exited
         os.killpg(0, signal.SIGINT)
     return wrap_model(model, config)
 
@@ -431,17 +436,15 @@ sys.exit(qreg.cli.main(sys.argv[3:]))
 """
 
 
-@pytest.mark.parametrize("threads, jobs, how", [("1", 12, "group"), ("2", 12, "group"), ("2", 2, "idle"),
-                                                ("2", 12, "parent-twice")])
-def test_ctrl_c_stops_a_sweep_with_exit_130_and_one_line(tmp_path, threads, jobs, how):
+def _interrupt_a_sweep(tmp_path, threads, jobs, how, code):
     path, marks, out = tmp_path / "exp.ini", tmp_path / "marks", tmp_path / "out"
-    if jobs == 12:  # jobs are queued when the first quantization job sends SIGINT
+    if jobs == 12:  # jobs are left to start when the first quantization job sends its signal
         path.write_text(CONFIG.replace("seeds = 0,1", "seeds = 0,1,2"))
-    else:  # the `none` job ends, and then its worker has nothing left to run
+    else:  # the `none` job ends, and then no job is left to start
         path.write_text(CONFIG.replace("seeds = 0,1", "seeds = 0").replace("0.0,0.3", "0.0"))
     marks.mkdir()
     env = dict(os.environ, QREG_THREADS=threads, PYTHONPATH=os.path.dirname(os.path.dirname(qreg.__file__)))
-    # a session of its own, so the SIGINT reaches the sweep and its pool workers, never pytest
+    # a session of its own, so a group SIGINT reaches the sweep and its job processes, never pytest
     proc = subprocess.Popen([sys.executable, "-c", INTERRUPTING_QUANT, str(marks), how, "noise-sweep",
                              "--config", str(path), "--out", str(out)], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
@@ -451,11 +454,46 @@ def test_ctrl_c_stops_a_sweep_with_exit_130_and_one_line(tmp_path, threads, jobs
         if proc.returncode is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-    assert proc.returncode == 130
-    assert stderr == "interrupted\n"  # no traceback, from the sweep or from a worker
+    assert proc.returncode == code
+    assert stderr == "interrupted\n"  # no traceback, from the sweep or from a job process
     assert stdout == ""
     assert os.listdir(out) == []  # no file, temp files included
     with pytest.raises(ProcessLookupError):
-        os.killpg(proc.pid, 0)  # no worker outlived the sweep
+        os.killpg(proc.pid, 0)  # no job process outlived the sweep
     starts = (marks / "starts").read_text().count("job")
-    assert (starts == 2) if jobs == 2 else (1 <= starts < jobs)  # no queued job ran
+    assert (starts == 2) if jobs == 2 else (1 <= starts < jobs)  # no job started after the signal
+    if threads == "2":
+        assert starts <= 2  # one job per worker, and none waiting in a queue
+    if how in ("parent-twice", "term") and threads == "2":
+        assert not (marks / "ends").exists()  # the sweep killed its running jobs at once
+
+
+@pytest.mark.parametrize("threads, jobs, how", [("1", 12, "group"), ("2", 12, "group"), ("2", 2, "idle"),
+                                                ("2", 12, "parent-twice")])
+def test_ctrl_c_stops_a_sweep_with_exit_130_and_one_line(tmp_path, threads, jobs, how):
+    _interrupt_a_sweep(tmp_path, threads, jobs, how, 130)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sigterm_stops_a_sweep_with_exit_143_and_one_line(tmp_path, threads):
+    _interrupt_a_sweep(tmp_path, threads, 12, "term", 143)
+
+
+def test_main_restores_the_sigterm_handler_it_found_and_runs_in_any_thread(config_file, tmp_path):
+    def handler(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        assert main(["train", "--config", str(config_file), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert signal.getsignal(signal.SIGTERM) is handler
+        # only the main thread may set a signal handler, so main in another thread sets none
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(
+            main(["train", "--config", str(config_file), "--out", str(tmp_path / "thread"), "--quiet"])))
+        thread.start()
+        thread.join(timeout=120)
+        assert codes == [0]
+        assert signal.getsignal(signal.SIGTERM) is handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)

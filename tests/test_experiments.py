@@ -1,11 +1,15 @@
 import functools
+import multiprocessing.connection
 import os
-from concurrent.futures import ThreadPoolExecutor
+import signal
+import struct
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import qreg.cli
 import qreg.experiments
 from qreg.checkpoint import MAGIC_MODEL, read_container
 from qreg.config import parse_config
@@ -451,14 +455,13 @@ def test_early_stopping_without_its_twin_is_trained():
 
 @pytest.mark.parametrize("cpus, expected", [(8, 3), (2, 2)])
 def test_the_pool_is_capped_by_trained_jobs_and_usable_cpus(cfg, monkeypatch, cpus, expected):
-    # the patched pool runs jobs on one thread of this process, so no worker process starts
     sizes = []
 
-    def pool(workers):
+    def forked(jobs, workers):
         sizes.append(workers)
-        return ThreadPoolExecutor(1)
+        return map(qreg.experiments.run_job, jobs)  # runs the jobs in this process, so no process starts
 
-    monkeypatch.setattr(qreg.experiments, "_pool", pool)
+    monkeypatch.setattr(qreg.experiments, "_forked", forked)
     monkeypatch.setattr(qreg.experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setenv("QREG_THREADS", "64")
     jobs = [Job(cfg=replace(cfg, epochs=1), mode="none", noise=0.0, seed=seed) for seed in range(3)]
@@ -467,19 +470,17 @@ def test_the_pool_is_capped_by_trained_jobs_and_usable_cpus(cfg, monkeypatch, cp
     assert [r.job.seed for r in results] == [0, 1, 2] and not any(r.failed for r in results)
     monkeypatch.setenv("QREG_THREADS", "1")
     assert [r.record.rows for r in run_jobs(jobs, quiet=True)] == [r.record.rows for r in results]
-    assert sizes == [expected]  # one worker is the serial path, with no pool
+    assert sizes == [expected]  # one worker is the serial path, with no job process
 
 
 def test_the_pool_gets_the_longest_expected_jobs_first(monkeypatch):
-    # the patched pool runs jobs on one thread of this process, so no worker process starts
     submitted = []
 
-    class RecordingPool(ThreadPoolExecutor):
-        def submit(self, fn, job):
-            submitted.append((job.mode, job.noise, job.seed))
-            return super().submit(fn, job)
+    def forked(jobs, workers):
+        submitted.extend((job.mode, job.noise, job.seed) for job in jobs)
+        return map(qreg.experiments.run_job, jobs)  # runs the jobs in this process, so no process starts
 
-    monkeypatch.setattr(qreg.experiments, "_pool", lambda workers: RecordingPool(1))
+    monkeypatch.setattr(qreg.experiments, "_forked", forked)
     monkeypatch.setattr(qreg.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
     cfg = replace(replay_cfg(), epochs=1)
     # the last job is an early_stopping job with no `none` twin, so it is trained
@@ -492,51 +493,143 @@ def test_the_pool_gets_the_longest_expected_jobs_first(monkeypatch):
         [(mode, s, seed) for mode in ("label_smoothing", "pruning") for s, seed in ((0.0, 0), (0.4, 0))]
     monkeypatch.setenv("QREG_THREADS", "1")
     serial = run_jobs(jobs, quiet=True)
-    assert len(submitted) == 13  # the serial run used no pool
+    assert len(submitted) == 13  # the serial run forked nothing
     assert [r.job for r in pooled] == [r.job for r in serial]
     assert [[vars(row) for row in r.record.rows] for r in pooled] == \
         [[vars(row) for row in r.record.rows] for r in serial]
 
 
-@pytest.mark.parametrize("threads, losses", [("1", 0), ("2", 0), ("2", 1), ("2", 2)],
-                         ids=["serial", "pooled", "lost-then-retried", "lost-twice"])
-def test_every_job_is_yielded_once_and_a_replay_right_after_its_twin(monkeypatch, threads, losses):
+# the failure of a job whose process ended with exit code 1 before its whole result arrived
+DIED = "ChildProcessError: job process exited with code 1"
+
+
+@pytest.fixture()
+def deadline():
+    """Fails a test still waiting on its job processes after 60 s, where it would hang."""
+    def expire(signum, frame):
+        raise TimeoutError("job processes still awaited after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)  # a forked process does not inherit the alarm
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def stub_result(job):
+    """What a run_job that trains nothing returns."""
+    return JobResult(job=replace(job, twin=None), record=RunRecord(fingerprint=job.mode, seed=job.seed), state=None)
+
+
+@pytest.mark.parametrize("threads, dies", [("1", False), ("2", False), ("2", True)],
+                         ids=["serial", "forked", "a-process-dies"])
+def test_every_job_is_yielded_once_and_a_replay_right_after_its_twin(monkeypatch, tmp_path, deadline,
+                                                                     threads, dies):
     cfg = replace(replay_cfg(), epochs=1)
     jobs = sweep_jobs(cfg)  # none, early_stopping and weight_decay x 2 noise levels x 2 seeds
     lost = Job(cfg=cfg, mode="none", noise=0.4, seed=1)
-    left, calls, sizes = {lost: losses}, [], []
+    log, parent, calls, sizes = tmp_path / "calls", os.getpid(), [], []
+    real_run_job, real_forked = qreg.experiments.run_job, qreg.experiments._forked
 
     def stub_run_job(job):
-        # trains nothing; `lost` raises on its first `losses` calls, as the future of a dying worker does
+        # trains nothing, but replays; the log sees every call, `calls` only those made in this process
+        with open(log, "a") as fh:
+            fh.write(f"{job.key}\n")
         calls.append(job)
-        if left.get(job):
-            left[job] -= 1
-            raise RuntimeError("worker died")
-        return JobResult(job=replace(job, twin=None), record=RunRecord(fingerprint=job.mode, seed=job.seed),
-                         state=None)
+        if dies and job == lost and os.getpid() != parent:
+            os._exit(1)  # kills the job process, as a crash in native code would
+        return real_run_job(job) if job.twin is not None else stub_result(job)
 
-    def pool(workers):
+    def forked(jobs, workers):
         sizes.append(workers)
-        return ThreadPoolExecutor(1)  # runs the jobs on a thread of this process, so no process starts
+        return real_forked(jobs, workers)
 
     monkeypatch.setattr(qreg.experiments, "run_job", stub_run_job)
-    monkeypatch.setattr(qreg.experiments, "_pool", pool)
+    monkeypatch.setattr(qreg.experiments, "_forked", forked)
     monkeypatch.setattr(qreg.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setenv("QREG_THREADS", threads)
     results = list(qreg.experiments._finished(jobs))
 
     assert sorted(r.job.key for r in results) == sorted(job.key for job in jobs)  # each job exactly once
-    assert len(calls) == len(jobs) + (losses > 0)  # each through run_job, and a lost job once more
-    assert sizes == {"1": [], "2": [2]}[threads] + [1] * (losses > 0)  # a lost job runs again alone
-    assert [r.failed for r in results] == [r.job == lost and losses == 2 for r in results]
-    if losses == 2:
-        assert next(r for r in results if r.job == lost).error == "RuntimeError: worker died"
+    assert sorted(log.read_text().splitlines()) == sorted(str(job.key) for job in jobs)  # each through run_job once
+    assert sizes == {"1": [], "2": [2]}[threads]
+    # a process that dies fails its own job, and the replay of that job's early_stopping twin, only
+    failed = {lost.key, replace(lost, mode="early_stopping").key} if dies else set()
+    assert [r.error for r in results] == [DIED if r.job.key in failed else None for r in results]
     # only `none` results are twins, and each replay follows its twin at once
     replays = [job for job in calls if job.twin is not None]
     assert sorted(job.key for job in replays) == sorted(job.key for job in jobs if job.mode == "early_stopping")
     for job in replays:
         i = next(i for i, r in enumerate(results) if r.job == job)
         assert results[i - 1] is job.twin and job.twin.job == replace(job, mode="none")
+
+
+def test_closing_the_stream_early_leaves_no_job_process(monkeypatch, deadline):
+    def stub_run_job(job):
+        if job.mode != "quantization":
+            time.sleep(60)  # still running when the stream is closed
+        return stub_result(job)
+
+    monkeypatch.setattr(qreg.experiments, "run_job", stub_run_job)
+    monkeypatch.setattr(qreg.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("QREG_THREADS", "2")
+    cfg = replace(replay_cfg(), epochs=1)
+    stream = qreg.experiments._finished([Job(cfg=cfg, mode=mode, noise=0.0, seed=0)
+                                         for mode in ("quantization", "dropout", "weight_decay")])
+    start = time.monotonic()
+    assert next(stream).job.mode == "quantization"  # forked first, and the first to end
+    assert multiprocessing.active_children()
+    stream.close()
+    assert multiprocessing.active_children() == []
+    assert time.monotonic() - start < 30  # the running job was killed, not waited for
+
+
+def test_an_interrupt_as_a_job_process_starts_leaves_no_process(monkeypatch, deadline):
+    real_start = multiprocessing.get_context("fork").Process.start
+
+    def start(process):
+        real_start(process)
+        os.kill(os.getpid(), signal.SIGTERM)  # between the fork and the sweep's record of the process
+
+    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", start)
+    monkeypatch.setattr(qreg.experiments, "run_job", lambda job: time.sleep(60))  # killed, never waited for
+    monkeypatch.setattr(qreg.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("QREG_THREADS", "2")
+    previous = signal.signal(signal.SIGTERM, qreg.cli._interrupt)  # as cli.main handles SIGTERM
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            list(qreg.experiments._finished([Job(cfg=replay_cfg(), mode="none", noise=0.0, seed=seed)
+                                             for seed in range(2)]))
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("sent, error", [("nothing", DIED), ("part", DIED),
+                                         ("nothing, killed by SIGTERM", DIED.replace("code 1", "code -15"))])
+def test_a_result_that_does_not_arrive_whole_fails_its_own_job_only(monkeypatch, deadline, sent, error):
+    real_send = multiprocessing.connection.Connection.send
+
+    def send(conn, result):
+        # called in a job process only: seed 1 sends no message, or the head of one, and dies
+        if result.job.seed == 1:
+            if sent == "part":
+                os.write(conn.fileno(), struct.pack("!i", 1 << 16) + bytes(16))  # 16 of 65,536 bytes
+            if sent.endswith("SIGTERM"):
+                os.kill(os.getpid(), signal.SIGTERM)  # a job process is not spared the default action
+            os._exit(1)
+        real_send(conn, result)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send", send)
+    monkeypatch.setattr(qreg.experiments, "run_job", stub_result)
+    monkeypatch.setattr(qreg.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("QREG_THREADS", "2")
+    cfg = replace(replay_cfg(), epochs=1)
+    jobs = [Job(cfg=cfg, mode="weight_decay", noise=0.0, seed=seed) for seed in range(3)]
+    results = run_jobs(jobs, quiet=True)
+    assert [r.job for r in results] == jobs
+    assert [r.error for r in results] == [None, error, None]
+    assert multiprocessing.active_children() == []
 
 
 def test_a_serial_sweep_builds_the_datasets_once_per_noise_and_seed(cfg, tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qreg import tensor as T
-from qreg.errors import ContractError
+from qreg.errors import ContractError, TrainingError
 from qreg.layers import (
     BatchNorm,
     Dense,
@@ -208,7 +208,7 @@ def test_act_scale_update_rejects_a_non_finite_batch(bad):
     for pos in (0, 2):
         batch = np.array([0.5, -2.0, 1.0])
         batch[pos] = bad
-        with pytest.raises(ContractError, match="non-finite"):
+        with pytest.raises(TrainingError, match="non-finite"):
             act_scale_update(qlayer, batch, 0.99)
         assert not qlayer.calibrated and qlayer.act_scale == 0.0
 

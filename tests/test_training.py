@@ -605,15 +605,32 @@ def _nan_accuracy_from_epoch_2(monkeypatch, model):
     monkeypatch.setattr(qreg.training, "accuracy", accuracy)
 
 
-@pytest.mark.parametrize("poison, message", [(_nan_loss_from_epoch_2, "loss diverged in epoch 2"),
-                                             (_nan_gradient_from_epoch_2, "non-finite gradient"),
-                                             (_nan_accuracy_from_epoch_2, "metrics diverged in epoch 2")])
+def _nan_activations_from_epoch_2(monkeypatch, model):
+    real = qreg.training.forward
+    calls = {"n": 0}
+
+    def forward(m, x, rng=None):
+        if m.train_mode:
+            calls["n"] += 1
+            if calls["n"] > 1:  # one train batch per epoch; the first quantizer meets the NaN
+                x = np.full(x.shape, np.nan)
+        return real(m, x, rng)
+
+    monkeypatch.setattr(qreg.training, "forward", forward)
+
+
+@pytest.mark.parametrize("poison, message, mode", [
+    (_nan_loss_from_epoch_2, "loss diverged in epoch 2", "none"),
+    (_nan_gradient_from_epoch_2, "non-finite gradient", "none"),
+    (_nan_accuracy_from_epoch_2, "metrics diverged in epoch 2", "none"),
+    (_nan_activations_from_epoch_2, "activations diverged in epoch 2", "quantization")])
 def test_every_training_failure_carries_the_completed_rows_and_leaves_eval_mode(
-        blob_splits, monkeypatch, poison, message):
+        blob_splits, monkeypatch, poison, message, mode):
     tr, val, test_ds = blob_splits
     model = tiny_model(0)
     poison(monkeypatch, model)
-    settings = TrainSettings(mode="none", epochs=4, batch_size=len(tr.labels), seed=0, fingerprint="deadbeef")
+    settings = TrainSettings(mode=mode, epochs=4, batch_size=len(tr.labels), seed=0, fingerprint="deadbeef",
+                             quant=QuantConfig() if mode == "quantization" else None)
     with pytest.raises(TrainingError, match=message) as err:
         train(model, tr, val, test_ds, settings)
     rec = err.value.record
