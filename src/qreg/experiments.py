@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .checkpoint import MAGIC_MODEL, write_container
-from .config import SCHEMA, STABILITY_GRIDS, ExperimentConfig
+from .config import STABILITY_GRIDS, ExperimentConfig
 from .data import Dataset, NoiseSpec, inject_noise, split, split_count, synth_blobs, synth_multitask
 from .errors import ConfigError, TrainingError
 from .layers import MODEL_PRESETS, Model
@@ -64,7 +64,10 @@ def image_shape(dim: int) -> tuple[int, int, int]:
 
 
 def build_datasets(cfg: ExperimentConfig, seed: int, noise: float) -> tuple[Dataset, Dataset, Dataset]:
-    """(train, val, test) for one job; only train labels are ever corrupted."""
+    """(train, val, test) for one job; only train labels are ever corrupted.
+
+    Every array is read-only: training only reads its datasets.
+    """
     gen_seed, test_seed, val_seed = (np.random.SeedSequence(cfg.data_seed, spawn_key=(k,)) for k in range(3))
     if cfg.data_kind == "blobs":
         per_class = (cfg.train_size + cfg.test_size) // cfg.num_classes
@@ -78,6 +81,9 @@ def build_datasets(cfg: ExperimentConfig, seed: int, noise: float) -> tuple[Data
     if noise > 0.0:
         train_ds, _ = inject_noise(train_ds, NoiseSpec(fraction=noise, seed=seed),
                                    cfg.noise_exclude_original)
+    for ds in (train_ds, val_ds, test_ds):
+        ds.features.flags.writeable = False
+        ds.labels.flags.writeable = False
     return train_ds, val_ds, test_ds
 
 
@@ -127,10 +133,9 @@ def run_job(job: Job) -> JobResult:
     """Train (or replay) one job; no exception escapes, so one bad job cannot end a sweep.
 
     A TrainingError fails the job with the epochs that completed; any other
-    exception fails it with no epochs and an error that names its type. The
-    datasets come from _datasets, so the next job in this process that trains
-    on the same datasets does not build them again. A pooled job runs in a
-    process of its own (see _forked), which shares no build with another.
+    exception fails it with no epochs and an error that names its type. A
+    trained job builds its own datasets, serial or pooled (see _forked); a
+    replayed one builds none.
     """
     cfg = job.cfg
     try:
@@ -138,7 +143,7 @@ def run_job(job: Job) -> JobResult:
         if job.twin is not None:
             return _replay(job, settings)
         dropout_p = settings.reg.dropout_p if job.mode == "dropout" else 0.0
-        train_ds, val_ds, test_ds = _datasets(cfg, job.seed, job.noise)
+        train_ds, val_ds, test_ds = build_datasets(cfg, job.seed, job.noise)
         model = build_model(cfg, job.seed, dropout_p)
         # train fails the job on any non-finite loss, gradient or metric, so numpy's warnings would repeat it
         with np.errstate(all="ignore"):
@@ -146,31 +151,6 @@ def run_job(job: Job) -> JobResult:
     except Exception as e:
         return _failure(job, e)
     return JobResult(job=job, record=result.record, state=result.model.state_dict(), error=None)
-
-
-# the last build of _datasets, by its key; at most one entry
-_DATASETS: dict[tuple, tuple[Dataset, Dataset, Dataset]] = {}
-
-
-def _datasets(cfg: ExperimentConfig, seed: int, noise: float) -> tuple[Dataset, Dataset, Dataset]:
-    """build_datasets, kept until a job asks for other datasets.
-
-    The key is all that build_datasets reads: the [data] fields, the preset,
-    the seed and the noise level. So the variants of a stability sweep, which
-    differ only in what a job trains, share one build, and a hit returns what
-    a build would. Every array is read-only, because each job that hits the
-    entry shares it: training only reads its datasets. A forked job process
-    inherits the entry its parent holds, and its own build stays its own.
-    """
-    key = (*(getattr(cfg, f) for f in SCHEMA["data"].values()), cfg.preset, seed, noise)
-    if key not in _DATASETS:
-        built = build_datasets(cfg, seed, noise)
-        for ds in built:
-            ds.features.flags.writeable = False
-            ds.labels.flags.writeable = False
-        _DATASETS.clear()
-        _DATASETS[key] = built
-    return _DATASETS[key]
 
 
 def _failure(job: Job, e: Exception) -> JobResult:
@@ -307,8 +287,7 @@ def _finished(jobs: list[Job]) -> Iterator[JobResult]:
     of its own (see _forked), but never more than there are trained jobs or
     usable CPUs. They are forked longest expected first (SUBMIT_RANK, a
     stable sort), so the last job to finish is a short one. The default is
-    serial: the jobs run in this process, grouped by (noise, seed) so
-    consecutive jobs share their datasets (see run_job). An early_stopping
+    serial: the jobs run in this process, in the order given. An early_stopping
     job whose `none` twin (the same job in every other field) is in the
     batch is not trained: as soon as the twin finishes, run_job replays it
     from the twin's result in this process, with the bytes training would
@@ -318,7 +297,7 @@ def _finished(jobs: list[Job]) -> Iterator[JobResult]:
     trained = [job for job in jobs if job not in replayed]
     workers = min(worker_count(), len(trained), len(os.sched_getaffinity(0)))
     results = (_forked(sorted(trained, key=lambda job: SUBMIT_RANK[job.mode]), workers) if workers > 1
-               else map(run_job, sorted(trained, key=lambda job: (job.noise, job.seed))))
+               else map(run_job, trained))
     for result in results:
         yield result
         es_job = replace(result.job, mode="early_stopping")

@@ -30,7 +30,6 @@ from qreg.experiments import (
 )
 from qreg.records import RunRecord
 from qreg.training import MODES
-from test_acceptance import STABILITY_INI
 
 SMALL = """
 [experiment]
@@ -632,48 +631,38 @@ def test_a_result_that_does_not_arrive_whole_fails_its_own_job_only(monkeypatch,
     assert multiprocessing.active_children() == []
 
 
-def test_a_serial_sweep_builds_the_datasets_once_per_noise_and_seed(cfg, tmp_path, monkeypatch):
-    builds = []
-    real = qreg.experiments.build_datasets
+def test_every_trained_job_builds_its_own_read_only_datasets_and_a_replay_builds_none(cfg, tmp_path,
+                                                                                    monkeypatch):
+    builds, built_by = [], {}
+    real_build, real_run_job = qreg.experiments.build_datasets, qreg.experiments.run_job
 
     def counted(*args):
-        builds.append(args[1:])
-        return real(*args)
+        builds.append((args[1:], real_build(*args)))
+        return builds[-1][1]
+
+    def tracked(job):
+        before = len(builds)
+        result = real_run_job(job)
+        built_by[(job.mode, job.seed, job.twin is not None)] = [key for key, _ in builds[before:]]
+        return result
 
     monkeypatch.setattr(qreg.experiments, "build_datasets", counted)
+    monkeypatch.setattr(qreg.experiments, "run_job", tracked)
     monkeypatch.delenv("QREG_THREADS", raising=False)
-    qreg.experiments._DATASETS.clear()
-    three = replace(cfg, modes=("none", "quantization", "dropout"), noise_levels=(0.3,), epochs=1)
+    three = replace(cfg, modes=("none", "early_stopping", "quantization"), noise_levels=(0.3,), epochs=1)
     assert cmd_noise_sweep(three, str(tmp_path / "out"), quiet=True) == 0
-    assert builds == [(0, 0.3), (1, 0.3)]
-    train_ds, val_ds, test_ds = qreg.experiments._datasets(three, 1, 0.3)
-    assert len(builds) == 2  # the last entry is still there
-    for ds in (train_ds, val_ds, test_ds):
-        with pytest.raises(ValueError, match="read-only"):
-            ds.features[0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            ds.labels[0] = 0
+    assert len(builds) == 4
+    assert built_by == {(mode, seed, mode == "early_stopping"): [] if mode == "early_stopping" else [(seed, 0.3)]
+                        for mode in three.modes for seed in three.seeds}
+    for _, datasets in builds:
+        for ds in datasets:
+            for array in (ds.features, ds.labels):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
 
 
 def _blas_threads() -> int:
     return qreg.experiments._openblas().scipy_openblas_get_num_threads64_()
-
-
-def test_a_stability_sweep_builds_the_datasets_once_per_noise_and_seed(tmp_path, monkeypatch):
-    # the variants differ only in what a job trains, so they share the datasets of a (noise, seed)
-    builds = []
-    real = qreg.experiments.build_datasets
-
-    def counted(*args):
-        builds.append(args[1:])
-        return real(*args)
-
-    monkeypatch.setattr(qreg.experiments, "build_datasets", counted)
-    monkeypatch.delenv("QREG_THREADS", raising=False)
-    qreg.experiments._DATASETS.clear()
-    cfg = replace(parse_config(STABILITY_INI), epochs=1)
-    assert cmd_stability_sweep(cfg, str(tmp_path / "out"), quiet=True) == 0
-    assert builds == [(0, 0.2), (1, 0.2)]
 
 
 def test_pool_workers_run_blas_on_one_thread(cfg, monkeypatch):
