@@ -11,7 +11,8 @@ pruning read only those, and a layer's widths are read from its parameter shapes
 Each layer's `forward` is its train-mode forward: it builds graph nodes,
 updates running statistics and activation scales, and draws dropout masks.
 Its `infer` is the one eval-mode forward: on raw arrays, with all of that
-frozen, writing into the slots of a tensor.Workspace.
+frozen. It returns a fresh array (or, for Flatten and Dropout, a view of its
+input) and never writes into its input.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class Layer:
     def forward(self, x: Node, rng) -> Node:
         raise NotImplementedError
 
-    def infer(self, x: np.ndarray, ws: T.Workspace) -> np.ndarray:
-        """Eval-mode forward of a raw batch; the result may lie in a slot of `ws`."""
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode forward of a raw batch; `x` is only read."""
         raise NotImplementedError
 
     def named_parameters(self) -> list[tuple[str, Node]]:
@@ -78,12 +79,11 @@ class Dense(Layer):
     def forward(self, x: Node, rng) -> Node:
         return self.forward_with(x, self.weight)
 
-    def infer_with(self, x: np.ndarray, weight: np.ndarray, ws: T.Workspace) -> np.ndarray:
-        out = ws.other(x, (x.shape[0], self.out_features))
-        return T.linear_value(x, np.ascontiguousarray(weight.T), self.bias.value, out=out)
+    def infer_with(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        return T.linear_value(x, np.ascontiguousarray(weight.T), self.bias.value)
 
-    def infer(self, x, ws):
-        return self.infer_with(x, self.weight.value, ws)
+    def infer(self, x):
+        return self.infer_with(x, self.weight.value)
 
 
 class Conv2d(Layer):
@@ -117,11 +117,11 @@ class Conv2d(Layer):
     def forward(self, x: Node, rng) -> Node:
         return self.forward_with(x, self.weight)
 
-    def infer_with(self, x: np.ndarray, weight: np.ndarray, ws: T.Workspace) -> np.ndarray:
-        return T.conv2d_value(x, weight, self.stride, self.padding, self.bias.value, ws=ws)[0]
+    def infer_with(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        return T.conv2d_value(x, weight, self.stride, self.padding, self.bias.value)[0]
 
-    def infer(self, x, ws):
-        return self.infer_with(x, self.weight.value, ws)
+    def infer(self, x):
+        return self.infer_with(x, self.weight.value)
 
 
 class BatchNorm(Layer):
@@ -156,11 +156,10 @@ class BatchNorm(Layer):
         if shape[1] != self.dim:
             raise DimensionError(f"batchnorm dim {self.dim} vs input feature dim {shape[1]}")
 
-    def infer(self, x, ws):
+    def infer(self, x):
         self._check(x.shape)
-        out = x if ws.owns(x) else ws.other(x, x.shape)  # never overwrite the caller's batch
         return T.batch_norm_eval_value(x, self.gamma.value, self.beta.value,
-                                       self.running_mean, self.running_var, self.eps, out=out)
+                                       self.running_mean, self.running_var, self.eps)
 
     def forward(self, x: Node, rng) -> Node:
         self._check(x.shape)
@@ -196,8 +195,8 @@ class ReLU(Layer):
     def forward(self, x: Node, rng) -> Node:
         return T.relu(x)
 
-    def infer(self, x, ws):
-        return T.relu_value(x, out=x if ws.owns(x) else ws.other(x, x.shape))
+    def infer(self, x):
+        return T.relu_value(x)
 
 
 class Flatten(Layer):
@@ -207,7 +206,7 @@ class Flatten(Layer):
         n = x.shape[0]
         return T.reshape(x, (n, int(np.prod(x.shape[1:]))))
 
-    def infer(self, x, ws):
+    def infer(self, x):
         return x.reshape(x.shape[0], -1)
 
 
@@ -224,7 +223,7 @@ class Dropout(Layer):
             raise ContractError("dropout in train mode needs an rng")
         return dropout_forward(x, self.p, rng)
 
-    def infer(self, x, ws):
+    def infer(self, x):
         return x  # inverted dropout needs no correction in eval mode
 
 
@@ -288,21 +287,12 @@ class Model:
                 setattr(layer, attr, value.copy())
 
 
-# The eval path's scratch memory, shared by every model this process
-# evaluates, so its buffers are sized once per process, not once per job.
-# Nothing read from it outlives a forward call (forward copies the logits
-# out), so sharing it couples no two callers; it is not for concurrent use
-# by threads, which the engine never starts.
-_EVAL_WS = T.Workspace()
-
-
 def forward(model: Model, x, rng=None) -> Node:
     """Run the model on a batch, honoring model.train_mode. Returns logits.
 
     In eval mode no graph is built: each layer's `infer` runs on raw arrays
-    and writes its output into the module's Workspace, whose slots are reused
-    by every later eval-mode call (see tensor.Workspace). The returned logits
-    are a copy, so they alias no slot, and a constant Node: they cannot be
+    and returns a fresh one, so the batch is only read. The logits share no
+    memory with the batch, and are a constant Node: they cannot be
     backpropagated.
     """
     node = x if isinstance(x, Node) else T.constant(x)
@@ -313,8 +303,9 @@ def forward(model: Model, x, rng=None) -> Node:
     if not model.train_mode:
         v = node.value
         for layer in model.layers:
-            v = layer.infer(v, _EVAL_WS)
-        return T.constant(v.copy())
+            v = layer.infer(v)
+        # a stack of Flatten and Dropout layers alone would hand back a view of the batch
+        return T.constant(v.copy() if np.may_share_memory(v, node.value) else v)
     for layer in model.layers:
         node = layer.forward(node, rng)
     return node

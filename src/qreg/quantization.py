@@ -71,13 +71,12 @@ def round_half_away(y: np.ndarray, out: np.ndarray | None = None, sign: np.ndarr
     return np.copysign(r, y if sign is None else sign, out=r)
 
 
-def fake_quantize(x: np.ndarray, bits: int, scale, out: np.ndarray | None = None) -> np.ndarray:
+def fake_quantize(x: np.ndarray, bits: int, scale) -> np.ndarray:
     """Snap x onto the symmetric grid of 2^bits - 1 levels spanning [-scale, scale].
 
     scale is a positive scalar or, for per-channel quantization, an array
-    with one entry per leading-axis slice of x. `out`, when given, receives
-    the result and must not overlap x; by default it is a new array in x's
-    memory layout.
+    with one entry per leading-axis slice of x. The result is a new array in
+    x's memory layout.
 
     Computes copysign(min(floor(|y| + 0.5), q), x) * (scale / q) with
     y = x * (q / scale), one pass per operation. q / scale > 0, so y has x's
@@ -95,7 +94,7 @@ def fake_quantize(x: np.ndarray, bits: int, scale, out: np.ndarray | None = None
                 f"per-channel scale must have shape ({x.shape[0]},), got {lam.shape}"
             )
         lam = lam.reshape((-1,) + (1,) * (x.ndim - 1))
-    y = np.multiply(x, q / lam, out=np.empty_like(x) if out is None else out)
+    y = np.multiply(x, q / lam, out=np.empty_like(x))
     np.abs(y, out=y)
     y += 0.5
     np.floor(y, out=y)
@@ -175,13 +174,13 @@ class QuantizedLayer(Layer):
         self.last_ste_pairs = [(x, qx), (self.weight, qw)]
         return self.inner.forward_with(qx, qw)
 
-    def infer(self, x: np.ndarray, ws: T.Workspace) -> np.ndarray:
+    def infer(self, x: np.ndarray) -> np.ndarray:
         """Eval mode. Before a train batch calibrates the activation scale there
         is none, so input quantization is skipped; weights are always quantized."""
         if self.calibrated:
-            x = fake_quantize(x, self.act_bits, self.act_scale, out=ws.other(x, x.shape))
+            x = fake_quantize(x, self.act_bits, self.act_scale)
         w = self.weight.value
-        return self.inner.infer_with(x, fake_quantize(w, self.weight_bits, weight_scales(w)), ws)
+        return self.inner.infer_with(x, fake_quantize(w, self.weight_bits, weight_scales(w)))
 
 
 def wrap_model(model: Model, cfg: QuantConfig) -> Model:

@@ -31,14 +31,11 @@ conv2d gathers its im2col matrix from the unpadded input plus one zero
 column and scatters its input gradient with one bincount, and batch_norm
 broadcasts each per-channel statistic over flat [N, C*H*W] rows.
 
-Eval-mode forward (layers.forward) builds no graph. It runs raw-array
-kernels that take an optional `out=` array to write into (conv2d_value a
-Workspace): linear_value, conv2d_value and relu_value, which the graph
-nodes call for their forward too, batch_norm_eval_value, and
-quantization.fake_quantize. The eval path points them at the slots of the
-one Workspace the layers module keeps: scratch memory that every eval-mode
-forward overwrites, and so outside the immutable-value contract. No Node
-value and no array returned to a caller may point into a slot.
+Eval-mode forward (layers.forward) builds no graph. It runs the raw-array
+kernels linear_value, conv2d_value and relu_value, which the graph nodes
+call for their forward too, batch_norm_eval_value, and
+quantization.fake_quantize. Each returns a fresh array and never writes
+into its inputs, as training's nodes do.
 """
 
 from __future__ import annotations
@@ -121,44 +118,6 @@ class Node:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Node(shape={self.value.shape}{tag}, requires_grad={self.requires_grad})"
-
-
-class Workspace:
-    """Named scratch arrays that eval-mode forward reuses from call to call.
-
-    Each slot is one flat float64 buffer that grows to the largest request
-    and never shrinks. A request returns a C-contiguous leading view of it,
-    so a shorter chunk uses the front of the same memory. A slot's contents
-    live until the next request for that slot. Layer outputs alternate
-    between the slots "ping" and "pong" (see other), so a layer can read its
-    input while it writes its output. conv2d_value keeps its intermediates
-    in "pad" (a padded convolution's [N, C*H*W + 1] input copy with a zero
-    last column), "cols" (the im2col matrix) and "mat" (the matmul result).
-    """
-
-    def __init__(self):
-        self._slots: dict[str, Array] = {}
-
-    def empty(self, name: str, shape: tuple[int, ...]) -> Array:
-        size = math.prod(shape)
-        buf = self._slots.get(name)
-        if buf is None or buf.size < size:
-            buf = self._slots[name] = np.empty(size)
-        return buf[:size].reshape(shape)
-
-    def owns(self, a: Array) -> bool:
-        """Whether `a` lies in a slot, so the eval path may overwrite it."""
-        return any(np.may_share_memory(a, buf) for buf in self._slots.values())
-
-    def other(self, a: Array, shape: tuple[int, ...]) -> Array:
-        """The ping-pong slot that does not hold `a`, viewed as `shape`."""
-        ping = self._slots.get("ping")
-        held = ping is not None and np.may_share_memory(a, ping)
-        return self.empty("pong" if held else "ping", shape)
-
-
-def _scratch(ws: Workspace | None, name: str, shape: tuple[int, ...]) -> Array:
-    return np.empty(shape) if ws is None else ws.empty(name, shape)
 
 
 def _rows(a: Array) -> Array:
@@ -292,11 +251,10 @@ def matmul(a: Node, b: Node) -> Node:
     return Node(av @ bv, (a, b), rule)
 
 
-def linear_value(xv: Array, wt: Array, bv: Array, out: Array | None = None) -> Array:
+def linear_value(xv: Array, wt: Array, bv: Array) -> Array:
     """xv [N,D] @ wt [D,F] + bv [F] on raw arrays: linear's forward.
 
-    wt is the weight transposed and contiguous. `out`, when given, receives
-    the result and must not overlap xv.
+    wt is the weight transposed and contiguous.
     """
     if wt.ndim != 2:
         raise DimensionError(f"linear needs a 2-d weight, got {wt.T.shape}")
@@ -306,7 +264,7 @@ def linear_value(xv: Array, wt: Array, bv: Array, out: Array | None = None) -> A
         raise DimensionError(f"linear: input has {xv.shape[1]} features but weight expects {wt.shape[0]}")
     if bv.shape != (wt.shape[1],):
         raise DimensionError(f"linear: bias {bv.shape} does not match {wt.shape[1]} outputs")
-    out = np.matmul(xv, wt, out=out)
+    out = xv @ wt
     out += bv
     return out
 
@@ -346,9 +304,9 @@ def reshape(a: Node, shape: tuple[int, ...]) -> Node:
     return Node(out, (a,), lambda g: (g.reshape(old),))
 
 
-def relu_value(v: Array, out: Array | None = None) -> Array:
-    """max(v, 0) on raw arrays: relu's forward. `out` may be v itself."""
-    return np.maximum(v, 0.0, out=out)
+def relu_value(v: Array) -> Array:
+    """max(v, 0) on raw arrays: relu's forward."""
+    return np.maximum(v, 0.0)
 
 
 def relu(a: Node) -> Node:
@@ -494,19 +452,15 @@ def _col2im_index(n: int, c: int, h: int, w: int, padding: int, kh: int, kw: int
     return idx
 
 
-def conv2d_value(xv: Array, wv: Array, stride: int = 1, padding: int = 0, bv: Array | None = None,
-                 ws: Workspace | None = None) -> tuple[Array, Array]:
+def conv2d_value(xv: Array, wv: Array, stride: int = 1, padding: int = 0,
+                 bv: Array | None = None) -> tuple[Array, Array]:
     """conv2d's forward on raw arrays: (output [N,F,Ho,Wo], im2col matrix).
 
     The im2col matrix is gathered from xv viewed as [N, C*H*W]; with padding
     that view is first copied into a [N, C*H*W + 1] array whose last column
     is zero, which every padding position reads. The matmul result is copied
     into the output, and the bias, spread over a row, is added to its
-    [N, F*Ho*Wo] rows. With a Workspace, the zero-column copy, the im2col
-    matrix and the matmul result are its slots "pad", "cols" and "mat", and
-    the output is the ping-pong slot that does not hold xv (only this kernel
-    knows the output's shape, so it takes the Workspace instead of an
-    `out=`); without one they are fresh arrays.
+    [N, F*Ho*Wo] rows.
     """
     if xv.ndim != 4 or wv.ndim != 4:
         raise DimensionError(f"conv2d needs 4-d input and kernel, got {xv.shape} and {wv.shape}")
@@ -527,16 +481,16 @@ def conv2d_value(xv: Array, wv: Array, stride: int = 1, padding: int = 0, bv: Ar
     chw = c * h * wd
     src = xv.reshape(n, chw)
     if padding:
-        padded = _scratch(ws, "pad", (n, chw + 1))
+        padded = np.empty((n, chw + 1))
         padded[:, :chw] = src
         padded[:, chw] = 0.0
         src = padded
     idx = _im2col_index(c, h, wd, padding, kh, kw, stride)
     # mode="clip" writes straight into `out`; "raise" would gather into a temporary
-    cols = np.take(src, idx, axis=1, mode="clip", out=_scratch(ws, "cols", (n, idx.size)))
+    cols = np.take(src, idx, axis=1, mode="clip", out=np.empty((n, idx.size)))
     cols = cols.reshape(n * ho * wo, c * kh * kw)
-    mat = np.matmul(cols, wv.reshape(f, c * kh * kw).T, out=_scratch(ws, "mat", (n * ho * wo, f)))
-    out = np.empty((n, f, ho, wo)) if ws is None else ws.other(xv, (n, f, ho, wo))
+    mat = cols @ wv.reshape(f, c * kh * kw).T
+    out = np.empty((n, f, ho, wo))
     np.copyto(out, mat.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
     if bv is not None:
         # a transposed copy and then an add on rows beats one transposed add
@@ -652,14 +606,13 @@ def batch_norm(x: Node, gamma: Node, beta: Node, eps: float) -> tuple[Node, Arra
     return Node(out.reshape(shape), (x, gamma, beta), rule), mu, var
 
 
-def batch_norm_eval_value(xv: Array, gv: Array, bv: Array, mean: Array, var: Array, eps: float,
-                          out: Array | None = None) -> Array:
+def batch_norm_eval_value(xv: Array, gv: Array, bv: Array, mean: Array, var: Array, eps: float) -> Array:
     """Eval-mode batch norm on raw arrays, by the running statistics mean and var:
     (x - mean) * (1 / sqrt(var + eps)) * gamma + beta, on [N, C*H*W] rows
-    like batch_norm. `out` may be xv itself."""
+    like batch_norm."""
     shape = xv.shape
     _, kept = _norm_shape(shape, gv, bv)
     inv = 1.0 / np.sqrt(var.reshape(kept) + eps)
-    rows = np.subtract(_rows(xv), _spread(mean, shape), out=None if out is None else _rows(out))
+    rows = _rows(xv) - _spread(mean, shape)
     np.multiply(rows, _spread(inv, shape), out=rows)
     return _scale_shift(rows, _spread(gv, shape), _spread(bv, shape), out=rows).reshape(shape)

@@ -199,10 +199,9 @@ class TrainResult:
 def evaluate(model: Model, ds) -> tuple[float, float, np.ndarray | None, float | None]:
     """Eval-mode loss and metrics: (loss, accuracy, per-task F1, F1 average).
 
-    Runs `forward` on EVAL_BATCH rows at a time. Each chunk's layers write
-    into the buffers of the layers module's Workspace, which this and every
-    later evaluate reuse; forward copies the logits out of them, so nothing
-    returned here points into a buffer, and ds.features is only read.
+    Runs `forward` on EVAL_BATCH rows at a time, each chunk through fresh
+    arrays, and copies its logits into one array for the set; ds.features is
+    only read.
     """
     was_training = model.train_mode
     model.train_mode = False

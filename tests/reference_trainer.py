@@ -12,8 +12,8 @@ loop that shares none of train()'s machinery:
   behind T.straight_through, with its own EMA activation scale;
 - the pruner slices the L1-lowest output channels itself;
 - the stopper is inline;
-- eval runs EVAL_BATCH rows at a time through the graph ops, with no
-  Workspace, and the metrics are computed here.
+- eval runs EVAL_BATCH rows at a time through the graph ops, and the
+  metrics are computed here.
 
 Besides the T.* graph ops, only the losses (whose closed-form gradients
 have their own tests), the batch-norm constants, the TrainSettings, the

@@ -1,27 +1,27 @@
-"""Eval-mode forward on reused buffers: bitwise, reuse, escape and allocation checks.
+"""Eval-mode forward: bitwise, read-only-input and aliasing checks.
 
-`forward` in eval mode runs each layer's `infer` through the slots of one
-Workspace. These tests hold it, chunk by chunk and through `evaluate`, to a
-reference built from elementary graph ops on fresh arrays (graph_forward),
-which shares no kernel with `infer` but the quantizer and ReLU's maximum.
+`forward` in eval mode runs each layer's `infer` on raw arrays, each
+returning a fresh one. These tests hold it, layer by layer, chunk by chunk
+and through `evaluate`, to a reference built from elementary graph ops on
+fresh arrays (graph_forward), which shares no kernel with `infer` but the
+quantizer and ReLU's maximum, and check that no layer writes into its input.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import qreg.training
 from qreg import tensor as T
-from qreg.config import ExperimentConfig
 from qreg.data import Dataset
-from qreg.experiments import build_datasets, build_model
 from qreg.layers import (
-    _EVAL_WS,
     BatchNorm,
     Conv2d,
     Dense,
     Dropout,
+    Flatten,
+    Model,
+    PerTaskNorm,
+    ReLU,
     build_cnn_small,
     build_mlp_multitask,
     build_mlp_small,
@@ -31,7 +31,7 @@ from qreg.losses import binary_ce_loss, cross_entropy_loss, one_hot
 from qreg.pruning import PruneSpec, prune_model
 from qreg.quantization import QuantConfig, QuantizedLayer, fake_quantize, weight_scales, wrap_model
 from qreg.training import EVAL_BATCH, Adam, evaluate
-from test_layers import composed_batchnorm, composed_dense, legacy_im2col_conv
+from test_layers import _bn_layer, assert_same_int64, composed_batchnorm, composed_dense, legacy_im2col_conv
 
 SIZES = (1, 511, 512, 513, 1800)
 
@@ -143,7 +143,7 @@ def test_eval_path_is_bitwise_the_graph_path(preset, variant, monkeypatch):
             np.testing.assert_array_equal(got[2], want[2], strict=True)
 
 
-def test_buffers_are_reused_across_sets_and_models(monkeypatch):
+def test_evaluate_alternating_sets_and_models_is_the_graph_path(monkeypatch):
     models = {preset: make(preset, "none") for preset in ("mlp-small", "cnn-small")}
     sets = {preset: [dataset(preset, n, seed=n) for n in (200, 1800, 1000)] for preset in models}
     with monkeypatch.context() as m:
@@ -162,7 +162,6 @@ def test_returned_arrays_alias_no_buffer():
     features = ds.features.copy()
     logits = forward(model, ds.features[:300]).value
     kept = logits.copy()
-    assert not _EVAL_WS.owns(logits)
     evaluate(model, ds)
     evaluate(other, dataset("mlp-small", 513))
     forward(model, ds.features[300:])
@@ -170,17 +169,62 @@ def test_returned_arrays_alias_no_buffer():
     np.testing.assert_array_equal(ds.features, features, strict=True)  # never written in place
 
 
-@pytest.mark.parametrize("preset", ["mlp-small", "cnn-small"])
-def test_a_warm_evaluate_allocates_under_one_mib(preset):
-    cfg = ExperimentConfig(preset=preset)
-    train_ds, _, _ = build_datasets(cfg, 0, 0.2)
-    assert train_ds.n == 1800
-    model = build_model(cfg, 0, 0.0)
-    evaluate(model, train_ds)  # sizes the buffers
-    tracemalloc.start()
-    try:
-        evaluate(model, train_ds)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20, f"evaluate peaked at {peak / 2**20:.2f} MiB"
+def _with_bias(layer, rng):
+    layer.bias.value = rng.standard_normal(layer.bias.shape)
+    return layer
+
+
+def _quantized(inner, calibrated):
+    layer = QuantizedLayer(inner, 4, 3, QuantConfig())
+    if calibrated:  # a scale under max|x|, so some inputs clip
+        layer.act_scale, layer.calibrated = 1.5, 1.0
+    return layer
+
+
+IMAGES = (4, 2, 5, 6)
+# every layer kind `infer` runs, with the shape of its input
+LAYER_KINDS = {
+    "dense": (lambda rng: _with_bias(Dense(6, 4, rng), rng), (5, 6)),
+    "conv2d": (lambda rng: _with_bias(Conv2d(2, 3, 3, rng), rng), IMAGES),
+    "conv2d-padded": (lambda rng: _with_bias(Conv2d(2, 3, 3, rng, stride=2, padding=1), rng), IMAGES),
+    "batchnorm-2d": (lambda rng: _bn_layer(BatchNorm, 6), (5, 6)),
+    "batchnorm-4d": (lambda rng: _bn_layer(BatchNorm, 2), IMAGES),
+    "pertasknorm": (lambda rng: _bn_layer(PerTaskNorm, 6), (5, 6)),
+    "relu": (lambda rng: ReLU(), IMAGES),
+    "flatten": (lambda rng: Flatten(), IMAGES),
+    "dropout": (lambda rng: Dropout(0.5), (5, 6)),
+    "quantized-dense": (lambda rng: _quantized(_with_bias(Dense(6, 4, rng), rng), True), (5, 6)),
+    "quantized-dense-uncalibrated": (lambda rng: _quantized(Dense(6, 4, rng), False), (5, 6)),
+    "quantized-conv2d": (lambda rng: _quantized(_with_bias(Conv2d(2, 3, 3, rng, padding=1), rng), True), IMAGES),
+    "quantized-conv2d-uncalibrated": (lambda rng: _quantized(Conv2d(2, 3, 3, rng, padding=1), False), IMAGES),
+}
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("kind", sorted(LAYER_KINDS))
+def test_every_layer_infers_the_graph_bits_from_a_read_only_input(kind):
+    build, shape = LAYER_KINDS[kind]
+    rng = np.random.default_rng(5)
+    layer = build(rng)
+    x = rng.standard_normal(shape)
+    x.flat[0] = -0.0
+    x = read_only(x)
+    kept = x.copy()
+    got = layer.infer(x)  # a write into x would raise
+    want = reference_layer(layer, T.constant(kept)).value
+    assert_same_int64(got, want)
+    assert_same_int64(x, kept)
+
+
+def test_eval_logits_share_no_memory_with_the_batch():
+    views_only = Model([Flatten(), Dropout(0.5)], "softmax", 60, IMAGES[1:])
+    for model, shape in ((make("cnn-small", "quantization-keep-bn"), (9, 1, 4, 8)),
+                         (make("mlp-multitask", "none"), (9, 12)), (views_only, IMAGES)):
+        x = read_only(np.random.default_rng(6).standard_normal(shape))
+        logits = forward(model, x).value
+        assert not np.may_share_memory(logits, x)
+        np.testing.assert_array_equal(logits, graph_forward(model, x).value, strict=True)

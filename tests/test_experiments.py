@@ -1,8 +1,11 @@
 import functools
+import json
 import multiprocessing.connection
 import os
 import signal
 import struct
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -715,3 +718,89 @@ def test_a_serial_sweep_runs_blas_on_one_thread_and_restores_the_count(cfg, monk
         assert seen == [1, 1, 1] and _blas_threads() == 2
     finally:
         lib.scipy_openblas_set_num_threads64_(before)
+
+
+# Two cnn-small jobs of 3 epochs on the default data sizes: enough eval and
+# im2col arrays that a heap which hands freed pages back faults thousands in
+RETAINED = """
+[experiment]
+seeds = 0,1
+modes = none
+
+[model]
+preset = cnn-small
+
+[training]
+epochs = 3
+"""
+
+# runs the RETAINED jobs through one run_jobs batch in a fresh interpreter, so
+# no earlier test has set the allocator, and prints the minor page faults of
+# each job as [pid, faults, error]; with more than one worker, each job
+# process runs its job twice and counts the second run
+FAULTS = """
+import json, os, resource, sys
+import qreg.experiments as E
+from qreg.config import parse_config
+
+run_job = E.run_job
+
+def reporting_run_job(job):
+    for _ in range(1 if E.worker_count() == 1 else 2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        result = run_job(job)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return E._failure(job, RuntimeError(f"{os.getpid()} {faults} {result.error}"))
+
+E.run_job = reporting_run_job
+E.os.sched_getaffinity = lambda pid: {0, 1}
+cfg = parse_config(sys.argv[1])
+results = E.run_jobs([E.Job(cfg=cfg, mode="none", noise=0.0, seed=seed) for seed in cfg.seeds], quiet=True)
+print(json.dumps([r.error.split(maxsplit=3)[1:] for r in results] + [str(os.getpid())]))
+"""
+
+# the CLI where libc has no mallopt
+NO_MALLOPT = """
+import ctypes, sys
+import qreg.cli, qreg.experiments
+
+class Libc:
+    def __getattr__(self, name):
+        raise AttributeError(name)
+
+real = ctypes.CDLL
+ctypes.CDLL = lambda name, *args, **kwargs: Libc() if name is None else real(name, *args, **kwargs)
+assert qreg.experiments._keep_freed_memory() is False
+sys.exit(qreg.cli.main(sys.argv[1:]))
+"""
+
+
+def _python(*args, **env):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qreg.__file__)), **env)
+    return subprocess.run([sys.executable, "-c", *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_job_reuses_the_memory_that_jobs_before_it_freed(threads):
+    proc = _python(FAULTS, RETAINED, QREG_THREADS=threads)
+    assert proc.returncode == 0, proc.stderr
+    *reports, sweep = json.loads(proc.stdout)
+    assert [error for _, _, error in reports] == ["None", "None"]
+    if threads == "1":  # the first job of a sweep faults its pages in; the second reuses them
+        assert [pid for pid, _, _ in reports] == [sweep, sweep]
+        reports = reports[1:]
+    else:  # each job process reuses what its first run freed
+        assert sweep not in {pid for pid, _, _ in reports}
+    assert all(int(faults) < 500 for _, faults, _ in reports), reports
+
+
+def test_without_mallopt_a_sweep_keeps_nothing_and_writes_the_same_bytes(tmp_path, capsys):
+    path = tmp_path / "small.ini"
+    path.write_text(SMALL)
+    args = ["noise-sweep", "--config", str(path), "--out"]
+    assert qreg.cli.main([*args, str(tmp_path / "kept")]) == 0
+    proc = _python(NO_MALLOPT, *args, str(tmp_path / "fallback"), QREG_THREADS="1")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == capsys.readouterr().out
+    for name in ("sweep.csv", "sweep_mean.csv"):
+        assert (tmp_path / "fallback" / name).read_bytes() == (tmp_path / "kept" / name).read_bytes()

@@ -34,7 +34,7 @@ def test_dense_forward_matches_affine_oracle():
     rng = rng_()
     layer = Dense(5, 3, rng)
     x = rng.standard_normal((7, 5))
-    out = layer.infer(x, T.Workspace())
+    out = layer.infer(x)
     np.testing.assert_allclose(out, x @ layer.weight.value.T + layer.bias.value, rtol=1e-12)
 
 
@@ -56,7 +56,7 @@ def test_batchnorm_eval_uses_running_stats():
     layer.running_mean = np.array([1.0, -1.0, 0.5])
     layer.running_var = np.array([4.0, 1.0, 9.0])
     x = rng.standard_normal((5, 3))
-    out = layer.infer(x, T.Workspace())
+    out = layer.infer(x)
     want = (x - layer.running_mean) / np.sqrt(layer.running_var + BN_EPS)
     np.testing.assert_allclose(out, want, rtol=1e-12)
 
@@ -66,7 +66,7 @@ def test_batchnorm_rejects_singleton_train_batch():
     with pytest.raises(ContractError):
         layer.forward(T.constant(np.zeros((1, 3))), None)
     # eval mode accepts a single example
-    layer.infer(np.zeros((1, 3)), T.Workspace())
+    layer.infer(np.zeros((1, 3)))
 
 
 def test_batchnorm_gradients_flow_through_batch_stats():
@@ -127,16 +127,16 @@ def test_dropout_layer_contracts():
     x = T.constant(np.ones((4, 4)))
     with pytest.raises(ContractError):
         layer.forward(x, None)
-    assert layer.infer(x.value, T.Workspace()) is x.value
+    assert layer.infer(x.value) is x.value
 
 
 def test_flatten_and_relu():
     x = T.constant(np.arange(24.0).reshape(2, 3, 2, 2))
     assert Flatten().forward(x, None).shape == (2, 12)
-    assert Flatten().infer(x.value, T.Workspace()).shape == (2, 12)
+    assert Flatten().infer(x.value).shape == (2, 12)
     r = np.array([[-1.0, 2.0]])
     np.testing.assert_array_equal(ReLU().forward(T.constant(r), None).value, [[0.0, 2.0]])
-    np.testing.assert_array_equal(ReLU().infer(r, T.Workspace()), [[0.0, 2.0]])
+    np.testing.assert_array_equal(ReLU().infer(r), [[0.0, 2.0]])
 
 
 def test_mlp_small_architecture():
@@ -462,7 +462,7 @@ def test_conv_kernels_are_bitwise_the_padded_gather_and_slice_loop(stride, paddi
             x = rng.standard_normal((n, c, 6, 7))
             x[0, 0, 0, 0] = -0.0
             want, cols = padded_gather_conv(x, w, b, stride, padding)
-            got, _ = T.conv2d_value(x, w, stride, padding, b, ws=T.Workspace())
+            got, _ = T.conv2d_value(x, w, stride, padding, b)
             assert_same_int64(got, want)
             xn, wn, bn = T.parameter(x), T.parameter(w), T.parameter(b)
             out = T.conv2d(xn, wn, stride, padding, bias=bn)
@@ -502,26 +502,13 @@ def test_batchnorm_node_is_bitwise_the_composed_graph(cls, dim, shape, train_mod
     x = np.random.default_rng(0).standard_normal(shape) * 2.0 + 0.4
     if not train_mode:  # eval mode builds no graph: infer against the composed graph's value
         layer, ref = _bn_layer(cls, dim), _bn_layer(cls, dim)
-        got = {"out": layer.infer(x, T.Workspace()), **dict(layer.named_buffers())}
+        got = {"out": layer.infer(x), **dict(layer.named_buffers())}
         want = {"out": composed_batchnorm(ref, T.constant(x), False).value, **dict(ref.named_buffers())}
         assert_same_bits(got, want)
         return
     fused = run_layer(_bn_layer(cls, dim), x, lambda l, xn: l.forward(xn, None))
     composed = run_layer(_bn_layer(cls, dim), x, lambda l, xn: composed_batchnorm(l, xn, True))
     assert_same_bits(fused, composed)
-
-
-@pytest.mark.parametrize("cls,dim,shape", BN_CASES)
-def test_batchnorm_eval_may_write_over_its_input(cls, dim, shape):
-    x = np.random.default_rng(0).standard_normal(shape) * 2.0 + 0.4
-    layer = _bn_layer(cls, dim)
-    args = (layer.gamma.value, layer.beta.value, layer.running_mean, layer.running_var, layer.eps)
-    want = T.batch_norm_eval_value(x, *args)
-    buf = x.copy()
-    got = T.batch_norm_eval_value(buf, *args, out=buf)
-    assert np.shares_memory(got, buf) and got.shape == shape
-    np.testing.assert_array_equal(buf.view(np.int64), want.view(np.int64), strict=True)
-    np.testing.assert_array_equal(want, composed_batchnorm(layer, T.constant(x), False).value, strict=True)
 
 
 def test_batchnorm_node_without_input_gradient():
@@ -628,4 +615,4 @@ def test_fused_nodes_keep_the_shape_checks():
     with pytest.raises(DimensionError):
         BatchNorm(3).forward(c(np.zeros((4, 3, 2))), None)
     with pytest.raises(DimensionError):
-        BatchNorm(3).infer(np.zeros((4, 2)), T.Workspace())
+        BatchNorm(3).infer(np.zeros((4, 2)))

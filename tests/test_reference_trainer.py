@@ -92,8 +92,7 @@ def test_pruning_before_the_first_epoch_trains_as_the_reference(preset):
 @pytest.mark.parametrize("mode", ["none", "quantization"])
 @pytest.mark.parametrize("preset", sorted(KINDS))
 def test_eval_in_chunks_smaller_than_a_set_trains_as_the_reference(preset, mode, monkeypatch):
-    # 144 training rows, 16 validation rows and 40 test rows: chunks of 48, 16 and 40
-    # rows against one set of Workspace slots
+    # 144 training rows, 16 validation rows and 40 test rows: chunks of 48, 16 and 40 rows
     monkeypatch.setattr(qreg.training, "EVAL_BATCH", 48)
     assert_train_is_the_reference(config(preset), mode)
 

@@ -102,7 +102,7 @@ def test_weight_decay_runs_are_bitwise_those_of_the_composed_penalty(preset, mon
 
 def test_dropout_eval_is_identity_and_p_zero_is_identity():
     x = T.constant(np.ones((3, 3)))
-    assert Dropout(0.5).infer(x.value, T.Workspace()) is x.value
+    assert Dropout(0.5).infer(x.value) is x.value
     assert dropout_forward(x, 0.0, np.random.default_rng(0)) is x
 
 
