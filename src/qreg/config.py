@@ -101,11 +101,16 @@ def _keyed(sub: str = "", key: str | None = None):
 
 def read_value(raw: str, like, key: str):
     """`raw` read as the type of `like`: bool, int, float, str, or a tuple of
-    one of them, which a blank value leaves empty. A ConfigError names `key`."""
+    one of them, which a blank value leaves empty. A ConfigError names `key`.
+
+    A float -0 reads as 0: the two train alike, so they must not give one
+    run two fingerprints (the fingerprint hashes a float's text).
+    """
     if isinstance(like, tuple):
         cast = type(like[0])
         try:
-            return tuple(cast(p.strip()) for p in raw.split(",") if p.strip())
+            # adding cast() (0, 0.0 or "") changes no value but a float -0
+            return tuple(cast(p.strip()) + cast() for p in raw.split(",") if p.strip())
         except ValueError:
             what = {int: "integers", float: "numbers", str: "names"}[cast]
             raise ConfigError(f"expected comma-separated {what}, got '{raw}'", key=key) from None
@@ -129,7 +134,7 @@ def read_value(raw: str, like, key: str):
             raise ConfigError(f"expected a number, got '{v}'", key=key) from None
         if not math.isfinite(out):
             raise ConfigError(f"expected a finite number, got '{v}'", key=key)
-        return out
+        return out + 0.0
     return v
 
 

@@ -8,6 +8,15 @@ small summary CSVs. Job results are sorted by their coordinates before any
 file is written, so the byte content of every output is independent of
 execution order and worker count.
 
+The four commands share one skeleton, _run_command. Each command states
+only its config check, its job list, and a write that turns the sorted
+results into its files. _run_command does the rest, in one place: it settles
+QREG_THREADS, makes the output directory, runs the jobs, prints how many
+runs failed, and returns the exit code (3 if any run failed, else 0). A
+summary row compares a cell of seeds with its reference cell (the `none`
+baseline, or a stability mode's configured setting; see _paired), and it is
+written only when both cells kept at least one run.
+
 Dataset identity is part of the experiment, not the job: features and the
 train/val/test partition depend only on [data] settings. Label noise is
 injected after the split, into the training partition only, seeded by the
@@ -243,12 +252,6 @@ def _keep_freed_memory() -> bool:
     return True
 
 
-def _make_out_dir(out_dir: str) -> None:
-    # settle QREG_THREADS first, so a bad value leaves no empty directory behind
-    worker_count()
-    os.makedirs(out_dir, exist_ok=True)
-
-
 def _child(job: Job, sender: multiprocessing.connection.Connection) -> None:
     # the handlers inherited from the sweep would raise KeyboardInterrupt here;
     # a job process ends at once on SIGINT or SIGTERM, with no traceback
@@ -360,21 +363,42 @@ def run_jobs(jobs: list[Job], quiet: bool) -> list[JobResult]:
     return results
 
 
-def _exit_code(results: list[JobResult], quiet: bool, tail: str = "") -> int:
-    """3 if any run failed, after saying how many unless quiet; else 0."""
+def _run_command(out_dir: str, jobs: list[Job], quiet: bool, write, tail: str) -> int:
+    """The steps every command shares once its config is checked and its jobs are listed.
+
+    QREG_THREADS is settled before the output directory is made, so a bad
+    value leaves no empty directory behind. write(results) writes the
+    command's files from the sorted results. Then, unless quiet, a line says
+    how many runs failed, followed by `tail`. The exit code is 3 if any run
+    failed, else 0.
+    """
+    worker_count()
+    os.makedirs(out_dir, exist_ok=True)
+    results = run_jobs(jobs, quiet)
+    write(results)
     failures = sum(r.failed for r in results)
     if failures and not quiet:
         print(f"{failures} of {len(results)} runs failed{tail}")
     return 3 if failures else 0
 
 
-def _summaries(results: list[JobResult], key) -> dict:
-    """key(result) -> aggregate_runs of the records of the non-failed results with that key."""
+def _paired(results: list[JobResult], key, cells: list[tuple]) -> Iterator[tuple]:
+    """(row, cell summary, reference summary) for each (row, cell, reference)
+    of `cells`, in order, skipping those where every run of the cell or of
+    its reference failed.
+
+    key(result) names the cell a result belongs to; a cell's summary
+    aggregates the records of its runs that did not fail. `row` holds the
+    leading columns of the cell's output row.
+    """
     grouped: dict = {}
     for r in results:
         if not r.failed:
             grouped.setdefault(key(r), []).append(r.record)
-    return {k: aggregate_runs(records) for k, records in grouped.items()}
+    summaries = {cell: aggregate_runs(records) for cell, records in grouped.items()}
+    for row, cell, ref in cells:
+        if cell in summaries and ref in summaries:
+            yield row, summaries[cell], summaries[ref]
 
 
 # ---------------------------------------------------------------- commands
@@ -386,17 +410,19 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, quiet: bool,
 
     The config is checked with `mode` (default: the first configured) and
     `noise` as its only mode and noise level, before any output exists.
+    A noise of -0 is 0: the two train alike, so they share one fingerprint.
     """
-    cfg = replace(cfg, modes=(mode if mode is not None else cfg.modes[0],), noise_levels=(noise,))
-    _make_out_dir(out_dir)
-    jobs = [Job(cfg=cfg, mode=cfg.modes[0], noise=noise, seed=seed) for seed in cfg.seeds]
-    results = run_jobs(jobs, quiet)
-    for r in results:
-        stem = f"{r.record.fingerprint}_{r.job.seed}"
-        r.record.write_csv(os.path.join(out_dir, f"run_{stem}.csv"))
-        if r.state is not None:
-            write_container(os.path.join(out_dir, f"checkpoint_{stem}.qreg"), r.state, MAGIC_MODEL)
-    return _exit_code(results, quiet)
+    cfg = replace(cfg, modes=(mode if mode is not None else cfg.modes[0],), noise_levels=(noise + 0.0,))
+    jobs = [Job(cfg=cfg, mode=cfg.modes[0], noise=cfg.noise_levels[0], seed=seed) for seed in cfg.seeds]
+
+    def write(results):
+        for r in results:
+            stem = f"{r.record.fingerprint}_{r.job.seed}"
+            r.record.write_csv(os.path.join(out_dir, f"run_{stem}.csv"))
+            if r.state is not None:
+                write_container(os.path.join(out_dir, f"checkpoint_{stem}.qreg"), r.state, MAGIC_MODEL)
+
+    return _run_command(out_dir, jobs, quiet, write, "")
 
 
 def cmd_noise_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
@@ -409,31 +435,25 @@ def cmd_noise_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
     if "none" not in cfg.modes:
         raise ConfigError("noise sweep needs the 'none' baseline in the mode list",
                           key="experiment.modes")
-    _make_out_dir(out_dir)
     jobs = [
         Job(cfg=cfg, mode=mode, noise=s, seed=seed)
         for mode in cfg.modes for s in cfg.noise_levels for seed in cfg.seeds
     ]
-    results = run_jobs(jobs, quiet)
 
-    rows = [[r.job.mode, f"{r.job.noise:g}", str(r.job.seed), fmt(r.record.final_test_acc)]
-            for r in results if not r.failed]
-    _write_rows(os.path.join(out_dir, "sweep.csv"),
-                ["mode", "s", "seed", "final_test_acc"], rows)
-
-    summaries = _summaries(results, lambda r: (r.job.mode, r.job.noise))
-    mean_rows = []
-    for mode in cfg.modes:
-        for s in cfg.noise_levels:
-            cell, base = summaries.get((mode, s)), summaries.get(("none", s))
-            if cell is None or base is None:
-                continue  # every seed of this cell (or its baseline) failed
+    def write(results):
+        _write_rows(os.path.join(out_dir, "sweep.csv"), ["mode", "s", "seed", "final_test_acc"],
+                    [[r.job.mode, f"{r.job.noise:g}", str(r.job.seed), fmt(r.record.final_test_acc)]
+                     for r in results if not r.failed])
+        cells = [([mode, f"{s:g}"], (mode, s), ("none", s)) for mode in cfg.modes for s in cfg.noise_levels]
+        rows = []
+        for row, cell, base in _paired(results, lambda r: (r.job.mode, r.job.noise), cells):
             mean = cell.final_mean["test_acc"]
             gain = mean - base.final_mean["test_acc"]
-            mean_rows.append([mode, f"{s:g}", fmt(mean), fmt(cell.final_std["test_acc"]), fmt(gain)])
-    _write_rows(os.path.join(out_dir, "sweep_mean.csv"),
-                ["mode", "s", "mean_acc", "std_acc", "gain_vs_baseline"], mean_rows)
-    return _exit_code(results, quiet, "; summaries cover the rest")
+            rows.append(row + [fmt(mean), fmt(cell.final_std["test_acc"]), fmt(gain)])
+        _write_rows(os.path.join(out_dir, "sweep_mean.csv"),
+                    ["mode", "s", "mean_acc", "std_acc", "gain_vs_baseline"], rows)
+
+    return _run_command(out_dir, jobs, quiet, write, "; summaries cover the rest")
 
 
 def _stability_variants(cfg: ExperimentConfig) -> list[tuple[str, str, ExperimentConfig]]:
@@ -465,26 +485,20 @@ def cmd_stability_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int
     variants = _stability_variants(cfg)
     if not variants:
         raise ConfigError("every stability grid is empty; nothing to sweep", key="stability")
-    _make_out_dir(out_dir)
     jobs = [
         Job(cfg=variant, mode=mode, noise=s, seed=seed, extra=label)
         for mode, label, variant in variants
         for s in cfg.noise_levels for seed in cfg.seeds
     ]
-    results = run_jobs(jobs, quiet)
 
-    summaries = _summaries(results, lambda r: (r.job.mode, r.job.cfg, r.job.noise))
-    rows = []
-    for mode, label, variant in variants:
-        for s in cfg.noise_levels:
-            cell, ref = summaries.get((mode, variant, s)), summaries.get((mode, cfg, s))
-            if cell is None or ref is None:
-                continue
-            gain = cell.final_mean["test_acc"] - ref.final_mean["test_acc"]
-            rows.append([mode, label, f"{s:g}", fmt(gain)])
-    _write_rows(os.path.join(out_dir, "stability.csv"),
-                ["mode", "hyper", "s", "gain_vs_reference"], rows)
-    return _exit_code(results, quiet, "; stability.csv covers the rest")
+    def write(results):
+        cells = [([mode, label, f"{s:g}"], (mode, variant, s), (mode, cfg, s))
+                 for mode, label, variant in variants for s in cfg.noise_levels]
+        rows = [row + [fmt(cell.final_mean["test_acc"] - ref.final_mean["test_acc"])]
+                for row, cell, ref in _paired(results, lambda r: (r.job.mode, r.job.cfg, r.job.noise), cells)]
+        _write_rows(os.path.join(out_dir, "stability.csv"), ["mode", "hyper", "s", "gain_vs_reference"], rows)
+
+    return _run_command(out_dir, jobs, quiet, write, "; stability.csv covers the rest")
 
 
 def cmd_multitask(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
@@ -497,23 +511,17 @@ def cmd_multitask(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
     """
     if cfg.data_kind != "multitask":
         raise ConfigError("the multitask command needs kind = multitask", key="data.kind")
-    _make_out_dir(out_dir)
-    noise = max(cfg.noise_levels)
-    modes = list(MULTITASK_MODES)
     jobs = [
-        Job(cfg=cfg, mode=mode, noise=noise, seed=seed, always_early_stop=True)
-        for mode in modes for seed in cfg.seeds
+        Job(cfg=cfg, mode=mode, noise=max(cfg.noise_levels), seed=seed, always_early_stop=True)
+        for mode in MULTITASK_MODES for seed in cfg.seeds
     ]
-    results = run_jobs(jobs, quiet)
 
-    summaries = _summaries(results, lambda r: r.job.mode)
-    rows = []
-    for mode in modes:
-        summary = summaries.get(mode)
-        if summary is None:
-            continue
-        cells = [fmt(summary.final_mean[f"f1_t{t}"]) for t in range(cfg.num_tasks)]
-        rows.append([mode] + cells + [fmt(summary.final_mean["f1_avg"])])
-    header = ["mode"] + [f"f1_t{t}" for t in range(cfg.num_tasks)] + ["f1_avg"]
-    _write_rows(os.path.join(out_dir, "multitask.csv"), header, rows)
-    return _exit_code(results, quiet, "; multitask.csv covers the rest")
+    def write(results):
+        columns = [f"f1_t{t}" for t in range(cfg.num_tasks)] + ["f1_avg"]
+        # a mode is its own reference: its row needs only its own runs
+        cells = [([mode], mode, mode) for mode in MULTITASK_MODES]
+        rows = [row + [fmt(summary.final_mean[c]) for c in columns]
+                for row, summary, _ in _paired(results, lambda r: r.job.mode, cells)]
+        _write_rows(os.path.join(out_dir, "multitask.csv"), ["mode"] + columns, rows)
+
+    return _run_command(out_dir, jobs, quiet, write, "; multitask.csv covers the rest")

@@ -100,6 +100,16 @@ def test_noise_flag_validation(config_file, tmp_path, capsys):
     assert "noise" in capsys.readouterr().err
 
 
+def test_a_negative_zero_noise_is_the_zero_noise(config_file, tmp_path, capsys):
+    runs = {}
+    for noise in ("0", "-0"):
+        out = tmp_path / f"noise{noise}"
+        assert main(["train", "--config", str(config_file), "--out", str(out), "--noise", noise]) == 0
+        runs[noise] = capsys.readouterr().out, {p.name: p.read_bytes() for p in out.iterdir()}
+    assert runs["-0"] == runs["0"]
+    assert "s=0 seed=0" in runs["0"][0]
+
+
 def test_mode_flag_selects_regularizer(config_file, tmp_path):
     out = tmp_path / "out"
     code = main(["train", "--config", str(config_file), "--out", str(out),
@@ -295,21 +305,42 @@ sys.exit(qreg.cli.main(sys.argv[1:]))
 """
 
 
+# command, its config and extra flags, the label of a job that fails, the
+# last line, and the files written; RAISING_PRUNE fails every pruning job
+RAISING_COMMANDS = [
+    ("noise-sweep", PRUNING_SWEEP, [], "pruning s=0.3 seed=0",
+     "2 of 4 runs failed; summaries cover the rest", ["sweep.csv", "sweep_mean.csv"]),
+    ("train", PRUNING_SWEEP, ["--mode", "pruning"], "pruning s=0 seed=0", "1 of 1 runs failed", None),
+    ("stability-sweep", PRUNING_SWEEP + "[stability]\nquant_bits = 4\nprune_ratios = 0.75\ndropout_rates =\n", [],
+     "pruning 0.75 s=0.3 seed=0", "2 of 4 runs failed; stability.csv covers the rest", ["stability.csv"]),
+    ("multitask", MULTITASK_CONFIG + "[training]\nepochs = 3\n", [], "pruning s=0.3 seed=0",
+     "1 of 6 runs failed; multitask.csv covers the rest", ["multitask.csv"]),
+]
+
+
+@pytest.mark.parametrize("command, text, extra, label, tail, files", RAISING_COMMANDS,
+                         ids=[command for command, *_ in RAISING_COMMANDS])
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_a_job_that_raises_fails_alone_and_the_sweep_exits_3(tmp_path, threads):
+def test_a_job_that_raises_fails_alone_and_the_sweep_exits_3(tmp_path, threads, command, text, extra, label, tail,
+                                                              files):
     path = tmp_path / "prune.ini"
-    path.write_text(PRUNING_SWEEP)
+    path.write_text(text)
     out = tmp_path / "out"
     env = dict(os.environ, QREG_THREADS=threads, PYTHONPATH=os.path.dirname(os.path.dirname(qreg.__file__)))
-    proc = subprocess.run([sys.executable, "-c", RAISING_PRUNE, "noise-sweep", "--config", str(path), "--out", str(out)],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", RAISING_PRUNE, command, "--config", str(path), "--out", str(out),
+                           *extra], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 3
     assert proc.stderr == ""  # no traceback
-    assert "pruning s=0.3 seed=0: FAILED (ContractError: pruning would remove every neuron" in proc.stdout
-    assert proc.stdout.endswith("2 of 4 runs failed; summaries cover the rest\n")
-    rows = (out / "sweep.csv").read_text().splitlines()
-    assert rows[0] == "mode,s,seed,final_test_acc"
-    assert [row.split(",")[:3] for row in rows[1:]] == [["none", "0", "0"], ["none", "0.3", "0"]]
+    assert f"  {label}: FAILED (ContractError: pruning would remove every neuron" in proc.stdout
+    assert proc.stdout.endswith(f"\n{tail}\n")
+    if files is None:  # train: the failed run's record, and no checkpoint
+        assert [name[:4] for name in os.listdir(out)] == ["run_"]
+    else:
+        assert sorted(os.listdir(out)) == files
+    if command == "noise-sweep":
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert rows[0] == "mode,s,seed,final_test_acc"
+        assert [row.split(",")[:3] for row in rows[1:]] == [["none", "0", "0"], ["none", "0.3", "0"]]
 
 
 # runs the CLI with every quantization job killing the process it runs in

@@ -393,6 +393,32 @@ def test_fingerprints_are_pinned(text, mode, noise, always_early_stop, fp):
     assert parse_config(text).fingerprint(mode, noise, always_early_stop) == fp
 
 
+def _reads_floats(name: str) -> bool:
+    """Whether the INI key that sets field `name` is read as a number or a list of numbers."""
+    like = attrgetter(name)(ExperimentConfig())
+    return isinstance(like[0] if isinstance(like, tuple) else like, float)
+
+
+def _parsed(text: str):
+    """The repr and fingerprint of the config `text` describes, or the text of its ConfigError."""
+    try:
+        cfg = parse_config(text)
+    except ConfigError as e:
+        return str(e)
+    return repr(cfg), cfg.fingerprint("none", 0.0)
+
+
+@pytest.mark.parametrize("section, key", [(s, k) for s, keys in SCHEMA.items() for k, name in keys.items()
+                                          if _reads_floats(name)])
+def test_a_negative_zero_reads_as_zero(section, key):
+    # -0.0 == 0.0, but the two print and hash apart, so one run would get two fingerprints
+    listed = isinstance(attrgetter(SCHEMA[section][key])(ExperimentConfig()), tuple)
+    values = ["-0", "-0.0"] + (["0.5, -0"] if listed else [])
+    for value in values:
+        zero = value.replace("-", "")
+        assert _parsed(f"[{section}]\n{key} = {value}\n") == _parsed(f"[{section}]\n{key} = {zero}\n"), value
+
+
 @pytest.mark.parametrize("section", [s for s in SCHEMA if s not in UNHASHED])
 def test_a_hashed_section_sets_top_level_fields_or_those_of_one_sub_config(section):
     # the fingerprint keys a section's values by this one owner

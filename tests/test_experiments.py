@@ -218,6 +218,80 @@ def test_cmd_noise_sweep_survives_div_failures(cfg, tmp_path, monkeypatch):
     assert len(mean_lines) == 1 + 4
 
 
+def _diverging(monkeypatch, *fingerprints):
+    """Make every job whose fingerprint is listed fail in its first epoch."""
+    real = qreg.experiments.train
+
+    def train(model, train_ds, val_ds, test_ds, settings):
+        if settings.fingerprint in fingerprints:
+            raise TrainingError("loss diverged in epoch 1")
+        return real(model, train_ds, val_ds, test_ds, settings)
+
+    monkeypatch.setattr(qreg.experiments, "train", train)
+
+
+@pytest.fixture(scope="module")
+def clean_sweep(cfg, tmp_path_factory):
+    """The rows of sweep.csv and sweep_mean.csv of a noise sweep of `cfg` in which no job fails."""
+    out = tmp_path_factory.mktemp("clean")
+    assert cmd_noise_sweep(cfg, str(out), quiet=True) == 0
+    return {name: (out / name).read_text().splitlines() for name in ("sweep.csv", "sweep_mean.csv")}
+
+
+def test_a_cell_whose_every_seed_fails_has_no_mean_row(cfg, tmp_path, monkeypatch, clean_sweep):
+    _diverging(monkeypatch, cfg.fingerprint("quantization", 0.3))
+    out = tmp_path / "out"
+    assert cmd_noise_sweep(cfg, str(out), quiet=True) == 3
+    sweep = (out / "sweep.csv").read_text().splitlines()
+    assert sweep == [row for row in clean_sweep["sweep.csv"] if not row.startswith("quantization,0.3,")]
+    mean = (out / "sweep_mean.csv").read_text().splitlines()
+    assert mean == [row for row in clean_sweep["sweep_mean.csv"] if not row.startswith("quantization,0.3,")]
+    assert len(mean) == 1 + 3
+
+
+def test_a_failed_baseline_drops_every_mean_row_at_its_noise_level(cfg, tmp_path, monkeypatch, clean_sweep):
+    _diverging(monkeypatch, cfg.fingerprint("none", 0.3))
+    out = tmp_path / "out"
+    assert cmd_noise_sweep(cfg, str(out), quiet=True) == 3
+    # sweep.csv keeps each run that survived, the quantization runs at s = 0.3 included
+    sweep = (out / "sweep.csv").read_text().splitlines()
+    assert sweep == [row for row in clean_sweep["sweep.csv"] if not row.startswith("none,0.3,")]
+    assert len(sweep) == 1 + 6
+    mean = (out / "sweep_mean.csv").read_text().splitlines()
+    assert mean == [row for row in clean_sweep["sweep_mean.csv"] if ",0.3," not in row]
+    assert [row.split(",")[:2] for row in mean[1:]] == [["none", "0"], ["quantization", "0"]]
+
+
+def test_a_failed_stability_reference_drops_every_variant_of_its_mode_at_its_noise_level(tmp_path, monkeypatch):
+    cfg = parse_config(SMALL + "\n[stability]\nquant_bits = 4,8\nprune_ratios = 0.75\ndropout_rates =\n")
+    cfg = replace(cfg, seeds=(0,), epochs=1)
+    clean = tmp_path / "clean"
+    assert cmd_stability_sweep(cfg, str(clean), quiet=True) == 0
+    _diverging(monkeypatch, cfg.fingerprint("quantization", 0.3))  # the w4a4 reference at s = 0.3
+    out = tmp_path / "out"
+    assert cmd_stability_sweep(cfg, str(out), quiet=True) == 3
+    rows = (out / "stability.csv").read_text().splitlines()
+    assert rows == [row for row in (clean / "stability.csv").read_text().splitlines()
+                    if not row.startswith("quantization,") or row.split(",")[2] != "0.3"]
+    assert [row.split(",")[:3] for row in rows[1:]] == [
+        ["quantization", "w4a4", "0"], ["quantization", "w8a8", "0"], ["pruning", "0.75", "0"],
+        ["pruning", "0.75", "0.3"]]
+
+
+def test_a_multitask_mode_whose_every_seed_fails_has_no_row(tmp_path, monkeypatch):
+    cfg = replace(parse_config(MULTI), seeds=(0, 1), epochs=2)
+    clean = tmp_path / "clean"
+    assert cmd_multitask(cfg, str(clean), quiet=True) == 0
+    _diverging(monkeypatch, cfg.fingerprint("dropout", 0.3, always_early_stop=True))
+    out = tmp_path / "out"
+    assert cmd_multitask(cfg, str(out), quiet=True) == 3
+    rows = (out / "multitask.csv").read_text().splitlines()
+    assert rows == [row for row in (clean / "multitask.csv").read_text().splitlines()
+                    if not row.startswith("dropout,")]
+    assert [row.split(",")[0] for row in rows[1:]] == ["none", "weight_decay", "label_smoothing", "pruning",
+                                                      "quantization"]
+
+
 def test_cmd_stability_sweep_schema(tmp_path):
     stab_cfg = parse_config(
         SMALL + "\n[stability]\nquant_bits = 4,8\nprune_ratios = 0.75\ndropout_rates = 0.1\n"
