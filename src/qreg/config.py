@@ -234,11 +234,10 @@ class ExperimentConfig:
         if self.train_size > 2**53:
             raise ConfigError(f"train_size must be at most 2**53, where float64 counts exactly, got {self.train_size}",
                               key="data.train_size")
-        held_out = round(self.val_fraction * self.train_size)  # as data.split rounds it
-        if not 0 < held_out < self.train_size:
+        if not 0 < self.val_size < self.train_size:
             raise ConfigError(
                 f"val_fraction {self.val_fraction:g} of train_size {self.train_size} holds out"
-                f" {held_out} rows; the split needs at least 1 on each side",
+                f" {self.val_size} rows; the split needs at least 1 on each side",
                 key="data.val_fraction",
             )
         if self.data_seed < 0:
@@ -257,7 +256,7 @@ class ExperimentConfig:
                     raise ConfigError(f"unknown mode '{mode}', expected one of {MODES}", key="experiment.modes")
                 self.train_settings(mode, 0)
         # a batch norm in train mode needs two rows in every minibatch
-        rows = self.train_size - held_out
+        rows = self.train_size - self.val_size
         for mode in self._trained_modes():
             if self._keeps_batchnorm(mode) and (self.batch_size == 1 or rows % self.batch_size == 1):
                 raise ConfigError(
@@ -265,10 +264,23 @@ class ExperimentConfig:
                     f" and {self.preset} trains a batch norm in mode '{mode}'",
                     key="training.batch_size",
                 )
-        # each grid value: the sub-config variant it names checks it
-        for mode, (grid, *_) in STABILITY_GRIDS.items():
+        # each grid value: the sub-config variant it names checks it. A grid that
+        # leaves out the configured setting gets it appended as its reference
+        # (experiments._stability_variants), so no value may print as its label.
+        for mode, (grid, sub, sets, label) in STABILITY_GRIDS.items():
             with _keyed(key=_key_of(grid)):
-                self.grid(mode)
+                variants = self.grid(mode)
+            reference = getattr(self, sub)
+            taken = label.format(**vars(reference))
+            if reference not in variants and taken in [label.format(**vars(v)) for v in variants]:
+                keys = " and ".join(_key_of(f"{sub}.{name}") for name in sets)
+                raise ConfigError(f"'{taken}' also labels the {mode} reference, {keys} as configured, "
+                                  "which differs from the listed value", key=_key_of(grid))
+
+    @property
+    def val_size(self) -> int:
+        """The validation rows held out of train_size, rounded as data.split rounds its fraction."""
+        return int(round(self.val_fraction * self.train_size))
 
     def grid(self, mode: str) -> list:
         """The variants of `mode`'s sub-config that the values of its stability grid name."""

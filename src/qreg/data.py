@@ -39,7 +39,7 @@ class Dataset:
         if self.num_classes:
             if self.labels.ndim != 1:
                 raise ContractError(f"single-task labels must be [N], got {self.labels.shape}")
-            self.labels = self.labels.astype(np.int64)
+            self.labels = self.labels.astype(np.int64, copy=False)
             if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
                 raise DataError(
                     f"labels must lie in [0, {self.num_classes}), got range "
@@ -50,7 +50,7 @@ class Dataset:
                 raise ContractError(
                     f"multi-task labels must be [N, {self.num_tasks}], got {self.labels.shape}"
                 )
-            self.labels = self.labels.astype(np.int64)
+            self.labels = self.labels.astype(np.int64, copy=False)
             if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 1):
                 raise DataError("multi-task labels must be 0 or 1")
         if self.features.shape[0] != self.labels.shape[0]:
@@ -116,12 +116,19 @@ def split(ds: Dataset, val_fraction: float, seed) -> tuple[Dataset, Dataset]:
 
 def split_count(ds: Dataset, count: int, seed) -> tuple[Dataset, Dataset]:
     """Seeded random split into (rest, held-out) with exactly `count` held out."""
-    if not 0 < count < ds.n:
-        raise ContractError(f"held-out count must lie in (0, {ds.n}), got {count}")
-    perm = np.random.default_rng(seed).permutation(ds.n)
-    held = np.sort(perm[:count])
-    rest = np.sort(perm[count:])
+    rest, held = split_indices(ds.n, count, seed)
     return ds.subset(rest), ds.subset(held)
+
+
+def split_indices(n: int, count: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """The rows split_count(ds, count, seed) puts in (rest, held-out), for ds.n = n.
+
+    Both index arrays are sorted, so a gather by them keeps the row order.
+    """
+    if not 0 < count < n:
+        raise ContractError(f"held-out count must lie in (0, {n}), got {count}")
+    perm = np.random.default_rng(seed).permutation(n)
+    return np.sort(perm[count:]), np.sort(perm[:count])
 
 
 def synth_blobs(num_classes: int, per_class: int, dim: int, separation: float, seed) -> Dataset:

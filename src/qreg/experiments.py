@@ -41,7 +41,8 @@ import numpy as np
 
 from .checkpoint import MAGIC_MODEL, write_container
 from .config import STABILITY_GRIDS, ExperimentConfig
-from .data import Dataset, NoiseSpec, inject_noise, split, split_count, synth_blobs, synth_multitask
+from .data import Dataset, NoiseSpec, inject_noise, split_indices, synth_blobs, synth_multitask
+from .data import split, split_count  # noqa: F401 (not called here; bench/tracing.py times them by these names)
 from .errors import ConfigError, TrainingError
 from .layers import MODEL_PRESETS, Model
 from .metrics import aggregate_runs
@@ -75,7 +76,12 @@ def image_shape(dim: int) -> tuple[int, int, int]:
 def build_datasets(cfg: ExperimentConfig, seed: int, noise: float) -> tuple[Dataset, Dataset, Dataset]:
     """(train, val, test) for one job; only train labels are ever corrupted.
 
-    Every array is read-only: training only reads its datasets.
+    The test rows are drawn from the generated set, and the validation rows
+    from the rest, as split_count and then split would draw them. Each split
+    is gathered from the generated set once (from its image view, for
+    cnn-small), and that set is let go before the noise is injected, so the
+    build holds at most the generated set and the three splits. Every array
+    is read-only: training only reads its datasets.
     """
     gen_seed, test_seed, val_seed = (np.random.SeedSequence(cfg.data_seed, spawn_key=(k,)) for k in range(3))
     if cfg.data_kind == "blobs":
@@ -83,10 +89,14 @@ def build_datasets(cfg: ExperimentConfig, seed: int, noise: float) -> tuple[Data
         full = synth_blobs(cfg.num_classes, per_class, cfg.dim, cfg.separation, gen_seed)
     else:
         full = synth_multitask(cfg.num_tasks, cfg.train_size + cfg.test_size, cfg.dim, gen_seed)
+    features = full.features
     if cfg.preset == "cnn-small":
-        full = replace(full, features=full.features.reshape((full.n,) + image_shape(cfg.dim)))
-    pool, test_ds = split_count(full, cfg.test_size, test_seed)
-    train_ds, val_ds = split(pool, cfg.val_fraction, val_seed)
+        features = features.reshape((full.n,) + image_shape(cfg.dim))
+    rest, test_rows = split_indices(full.n, cfg.test_size, test_seed)
+    inner, held = split_indices(rest.size, cfg.val_size, val_seed)
+    train_ds, val_ds, test_ds = (replace(full, features=features[rows], labels=full.labels[rows])
+                                 for rows in (rest[inner], rest[held], test_rows))
+    del full, features
     if noise > 0.0:
         train_ds, _ = inject_noise(train_ds, NoiseSpec(fraction=noise, seed=seed),
                                    cfg.noise_exclude_original)

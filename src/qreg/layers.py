@@ -118,7 +118,7 @@ class Conv2d(Layer):
         return self.forward_with(x, self.weight)
 
     def infer_with(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        return T.conv2d_value(x, weight, self.stride, self.padding, self.bias.value)[0]
+        return T.conv2d_value(x, weight, self.stride, self.padding, self.bias.value)
 
     def infer(self, x):
         return self.infer_with(x, self.weight.value)

@@ -32,8 +32,9 @@ column and scatters its input gradient with one bincount, and batch_norm
 broadcasts each per-channel statistic over flat [N, C*H*W] rows.
 
 Eval-mode forward (layers.forward) builds no graph. It runs the raw-array
-kernels linear_value, conv2d_value and relu_value, which the graph nodes
-call for their forward too, batch_norm_eval_value, and
+kernels linear_value and relu_value, which the graph nodes call for their
+forward too; conv2d_value, the conv2d node's gather and product without
+the im2col matrix that only its backward keeps; batch_norm_eval_value; and
 quantization.fake_quantize. Each returns a fresh array and never writes
 into its inputs, as training's nodes do.
 """
@@ -452,15 +453,12 @@ def _col2im_index(n: int, c: int, h: int, w: int, padding: int, kh: int, kw: int
     return idx
 
 
-def conv2d_value(xv: Array, wv: Array, stride: int = 1, padding: int = 0,
-                 bv: Array | None = None) -> tuple[Array, Array]:
-    """conv2d's forward on raw arrays: (output [N,F,Ho,Wo], im2col matrix).
+def _im2col(xv: Array, wv: Array, stride: int, padding: int) -> tuple[Array, tuple[int, int, int, int]]:
+    """conv2d's im2col matrix [N*Ho*Wo, C*kh*kw] of xv for kernel wv, and the output shape [N,F,Ho,Wo].
 
-    The im2col matrix is gathered from xv viewed as [N, C*H*W]; with padding
-    that view is first copied into a [N, C*H*W + 1] array whose last column
-    is zero, which every padding position reads. The matmul result is copied
-    into the output, and the bias, spread over a row, is added to its
-    [N, F*Ho*Wo] rows.
+    The matrix is gathered from xv viewed as [N, C*H*W]; with padding that
+    view is first copied into a [N, C*H*W + 1] array whose last column is
+    zero, which every padding position reads. That copy is dropped on return.
     """
     if xv.ndim != 4 or wv.ndim != 4:
         raise DimensionError(f"conv2d needs 4-d input and kernel, got {xv.shape} and {wv.shape}")
@@ -475,8 +473,6 @@ def conv2d_value(xv: Array, wv: Array, stride: int = 1, padding: int = 0,
         raise DimensionError(
             f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{wd + 2 * padding}"
         )
-    if bv is not None and bv.size != f:
-        raise DimensionError(f"conv2d: bias has {bv.size} entries for {f} filters")
 
     chw = c * h * wd
     src = xv.reshape(n, chw)
@@ -488,14 +484,37 @@ def conv2d_value(xv: Array, wv: Array, stride: int = 1, padding: int = 0,
     idx = _im2col_index(c, h, wd, padding, kh, kw, stride)
     # mode="clip" writes straight into `out`; "raise" would gather into a temporary
     cols = np.take(src, idx, axis=1, mode="clip", out=np.empty((n, idx.size)))
-    cols = cols.reshape(n * ho * wo, c * kh * kw)
-    mat = cols @ wv.reshape(f, c * kh * kw).T
-    out = np.empty((n, f, ho, wo))
+    return cols.reshape(n * ho * wo, c * kh * kw), (n, f, ho, wo)
+
+
+def _conv_out(mat: Array, shape: tuple[int, int, int, int], bv: Array | None) -> Array:
+    """The conv2d output [N,F,Ho,Wo] of the product `mat` [N*Ho*Wo, F] of im2col and kernel.
+
+    The product is copied into the output, and the bias, spread over a row,
+    is added to its [N, F*Ho*Wo] rows.
+    """
+    n, f, ho, wo = shape
+    if bv is not None and bv.size != f:
+        raise DimensionError(f"conv2d: bias has {bv.size} entries for {f} filters")
+    out = np.empty(shape)
     np.copyto(out, mat.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
     if bv is not None:
         # a transposed copy and then an add on rows beats one transposed add
         np.add(_rows(out), _spread(bv, out.shape), out=_rows(out))
-    return out, cols
+    return out
+
+
+def conv2d_value(xv: Array, wv: Array, stride: int = 1, padding: int = 0,
+                 bv: Array | None = None) -> Array:
+    """conv2d's eval forward on raw arrays: the output [N,F,Ho,Wo].
+
+    The same gather and product as the conv2d node, but the im2col matrix,
+    which only a backward needs, is dropped before the output is made.
+    """
+    cols, shape = _im2col(xv, wv, stride, padding)
+    mat = cols @ wv.reshape(shape[1], -1).T
+    del cols
+    return _conv_out(mat, shape, bv)
 
 
 def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0, bias: Node | None = None) -> Node:
@@ -503,7 +522,7 @@ def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0, bias: Node | Non
 
     Output spatial size is conv_size(H, kh, stride, padding) per axis.
     Implemented as im2col (one gather by an index cached per geometry, see
-    conv2d_value) + one matmul. The backward scatters the im2col gradient
+    _im2col) + one matmul. The backward scatters the im2col gradient
     into the input gradient with one bincount over a cached index, in an
     order that sums each input position's contributions as a loop over the
     kh*kw kernel offsets, each a strided slice add, would.
@@ -512,11 +531,12 @@ def conv2d(x: Node, w: Node, stride: int = 1, padding: int = 0, bias: Node | Non
     add(conv2d(x, w), reshape(bias, (1, F, 1, 1))): the bias is added to the
     same matmul entries, and its gradient is the same _unbroadcast sum.
     """
-    out, cols = conv2d_value(x.value, w.value, stride, padding, None if bias is None else bias.value)
+    cols, shape = _im2col(x.value, w.value, stride, padding)
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
-    _, _, ho, wo = out.shape
+    _, _, ho, wo = shape
     wmat = w.value.reshape(f, c * kh * kw)
+    out = _conv_out(cols @ wmat.T, shape, None if bias is None else bias.value)
 
     def rule(g: Array):
         gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)

@@ -196,20 +196,30 @@ class TrainResult:
     record: RunRecord
 
 
-def evaluate(model: Model, ds) -> tuple[float, float, np.ndarray | None, float | None]:
-    """Eval-mode loss and metrics: (loss, accuracy, per-task F1, F1 average).
+def eval_logits(model: Model, features: np.ndarray) -> np.ndarray:
+    """The model's eval-mode logits for every row of `features`, which is only read.
 
     Runs `forward` on EVAL_BATCH rows at a time, each chunk through fresh
-    arrays, and copies its logits into one array for the set; ds.features is
-    only read.
+    arrays, and copies its logits into one array for the set.
     """
     was_training = model.train_mode
     model.train_mode = False
-    logits = np.empty((ds.n, model.out_dim))
-    for start in range(0, ds.n, EVAL_BATCH):
-        stop = min(start + EVAL_BATCH, ds.n)
-        logits[start:stop] = forward(model, ds.features[start:stop]).value
+    n = features.shape[0]
+    logits = np.empty((n, model.out_dim))
+    for start in range(0, n, EVAL_BATCH):
+        stop = min(start + EVAL_BATCH, n)
+        logits[start:stop] = forward(model, features[start:stop]).value
     model.train_mode = was_training
+    return logits
+
+
+def evaluate(model: Model, ds) -> tuple[float, float, np.ndarray | None, float | None]:
+    """Eval-mode loss and metrics: (loss, accuracy, per-task F1, F1 average).
+
+    The logits come from eval_logits. train calls this on the validation
+    and test sets only: of the training set it records the accuracy alone.
+    """
+    logits = eval_logits(model, ds.features)
     node = T.constant(logits)
     if ds.is_multitask:
         loss = float(binary_ce_loss(node, ds.labels.astype(np.float64)).value)
@@ -263,6 +273,7 @@ def train(model: Model, train_ds, val_ds, test_ds, settings: TrainSettings) -> T
     )
     targets = _targets(train_ds, settings)
     loss_fn = binary_ce_loss if train_ds.is_multitask else cross_entropy_loss
+    score = binary_accuracy if train_ds.is_multitask else accuracy
     decayed = model.weight_nodes() if settings.mode == "weight_decay" else None
 
     try:
@@ -301,7 +312,7 @@ def train(model: Model, train_ds, val_ds, test_ds, settings: TrainSettings) -> T
 
             train_loss = float(np.mean(batch_losses))
             val_loss, val_acc, _, _ = evaluate(model, val_ds)
-            _, train_acc, _, _ = evaluate(model, train_ds)
+            train_acc = score(eval_logits(model, train_ds.features), train_ds.labels)
             test_loss, test_acc, f1, f1_avg = evaluate(model, test_ds)
             row = EpochRow(
                 epoch=epoch,

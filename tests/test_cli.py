@@ -207,6 +207,21 @@ def test_bad_config_value_exits_2_before_any_output(tmp_path, capsys, command, s
     assert not out.exists()
 
 
+def test_a_grid_value_that_prints_as_the_appended_reference_exits_2(tmp_path, capsys):
+    # 0.1 and the configured 0.1000000001 train apart but both print as 0.1,
+    # so the two runs would share one hyper label and one job key
+    path = tmp_path / "bad.ini"
+    path.write_text(_with_key(_with_key(CONFIG, "regularization", "dropout_rate", "0.1000000001"),
+                              "stability", "dropout_rates", "0.1")
+                    + "quant_bits =\nprune_ratios =\n")
+    out = tmp_path / "out"
+    assert main(["stability-sweep", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "stability.dropout_rates" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 ONE_ROW_BATCH = """
 [data]
 train_size = 161

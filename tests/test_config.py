@@ -145,6 +145,18 @@ def test_list_keys_reject_repeats(section, key, value):
         parse_config(f"[{section}]\n{key} = {value}\n")
 
 
+@pytest.mark.parametrize("setting, grid", [
+    ("[regularization]\ndropout_rate = 0.1000000001\n", "dropout_rates = 0.1"),
+    ("[pruning]\nratio = 0.7500000001\n", "prune_ratios = 0.75"),
+])
+def test_a_grid_value_may_not_print_as_the_reference_appended_beside_it(setting, grid):
+    with pytest.raises(ConfigError, match=f"'stability.{grid.split()[0]}'.*also labels"):
+        parse_config(f"{setting}[stability]\n{grid}\n")
+    # the configured value itself is the reference, listed rather than appended
+    exact = setting.split("= ")[1].strip()
+    parse_config(f"{setting}[stability]\n{grid.split('=')[0]}= {exact}\n")
+
+
 def test_grid_values_with_distinct_labels_are_kept():
     cfg = parse_config("[stability]\nprune_ratios = 0.5,0.50001\n[experiment]\nnoise_levels = 0.1,0.15\n")
     assert cfg.stability_prune_ratios == (0.5, 0.50001)

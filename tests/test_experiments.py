@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ import qreg.cli
 import qreg.experiments
 from qreg.checkpoint import MAGIC_MODEL, read_container
 from qreg.config import parse_config
+from qreg.data import NoiseSpec, inject_noise, split, split_count, synth_blobs, synth_multitask
 from qreg.errors import ConfigError, TrainingError
 from qreg.experiments import (
     SUBMIT_RANK,
@@ -122,6 +124,60 @@ def test_cnn_preset_reshapes_features_to_images():
     assert train_ds.features.shape[1:] == (1, 4, 8)
     model = build_model(cnn_cfg, seed=0, dropout_p=0.0)
     assert model.input_shape == (1, 4, 8)
+
+
+def _split_then_copy(cfg, seed, noise):
+    """build_datasets as split_count, split and inject_noise compose it: a
+    copy of the rest, then copies of its train and validation rows."""
+    gen_seed, test_seed, val_seed = (np.random.SeedSequence(cfg.data_seed, spawn_key=(k,)) for k in range(3))
+    if cfg.data_kind == "blobs":
+        full = synth_blobs(cfg.num_classes, (cfg.train_size + cfg.test_size) // cfg.num_classes, cfg.dim,
+                           cfg.separation, gen_seed)
+    else:
+        full = synth_multitask(cfg.num_tasks, cfg.train_size + cfg.test_size, cfg.dim, gen_seed)
+    if cfg.preset == "cnn-small":
+        full = replace(full, features=full.features.reshape((full.n,) + image_shape(cfg.dim)))
+    rest, test_ds = split_count(full, cfg.test_size, test_seed)
+    train_ds, val_ds = split(rest, cfg.val_fraction, val_seed)
+    if noise > 0.0:
+        train_ds, _ = inject_noise(train_ds, NoiseSpec(fraction=noise, seed=seed), cfg.noise_exclude_original)
+    return train_ds, val_ds, test_ds
+
+
+@pytest.mark.parametrize("exclude", [False, True])
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+@pytest.mark.parametrize("ini", [
+    SMALL,
+    # cnn-small on a 2 x 5 image
+    "[data]\nnum_classes = 3\ndim = 10\ntrain_size = 120\ntest_size = 30\n[model]\npreset = cnn-small\n",
+    MULTI,
+], ids=["mlp-small", "cnn-small", "multitask"])
+def test_build_datasets_is_bytewise_the_split_then_copy_composition(ini, noise, exclude):
+    cfg = replace(parse_config(ini), noise_exclude_original=exclude)
+    for got, want in zip(build_datasets(cfg, 5, noise), _split_then_copy(cfg, 5, noise), strict=True):
+        assert (got.num_classes, got.num_tasks) == (want.num_classes, want.num_tasks)
+        for a, b in ((got.features, want.features), (got.labels, want.labels)):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.flags.c_contiguous and not a.flags.writeable
+            assert a.tobytes() == b.tobytes()
+
+
+def test_build_datasets_holds_at_most_the_generated_set_and_its_splits():
+    # the multitask_pool bench workload's data; the old composition peaked at 3.3 times the set
+    cfg = parse_config("[data]\nkind = multitask\nnum_tasks = 12\ndim = 24\ntrain_size = 8000\n"
+                       "test_size = 2000\n[model]\npreset = mlp-multitask\n")
+    build_datasets(cfg, 0, 0.3)  # what a first call allocates once (imports, caches) is not the build's
+    tracemalloc.start()
+    try:
+        datasets = build_datasets(cfg, 0, 0.3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    generated = sum(ds.features.nbytes + ds.labels.nbytes for ds in datasets)  # the same rows, split
+    assert kept >= generated
+    # the set, its three splits and a quarter of the set for temporaries:
+    # the index arrays and the finite check's mask
+    assert peak <= kept + generated + generated // 4, (peak, kept, generated)
 
 
 def test_build_model_presets(cfg):
