@@ -118,8 +118,11 @@ class Job:
     """One training run of a resolved config; sort key and unit of work of a job process.
 
     cfg alone says what is trained; extra is only the display label of a
-    swept setting (the `hyper` column and the progress line). twin, when
-    set, is the finished `none` result that an early_stopping job is
+    swept setting (the `hyper` column and the progress line). keep_state
+    asks for the trained model's final parameters in the result. Only
+    cmd_train, which writes them, sets it, so a sweep holds no job's arrays
+    once the job is done; it enters neither key nor the fingerprint. twin,
+    when set, is the finished `none` result that an early_stopping job is
     replayed from instead of being trained (see _finished).
     """
 
@@ -129,6 +132,7 @@ class Job:
     seed: int
     extra: str = ""
     always_early_stop: bool = False
+    keep_state: bool = False
     twin: JobResult | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -138,9 +142,16 @@ class Job:
 
 @dataclass
 class JobResult:
+    """One job's outcome: its record, and the error that failed it, if any.
+
+    state holds the model's final parameters when the job asked for them
+    (Job.keep_state), was trained rather than replayed, and did not fail;
+    else it is None.
+    """
+
     job: Job
     record: RunRecord
-    state: dict | None  # final model parameters; None when training failed or the result was replayed
+    state: dict | None
     error: str | None = None
 
     @property
@@ -154,7 +165,8 @@ def run_job(job: Job) -> JobResult:
     A TrainingError fails the job with the epochs that completed; any other
     exception fails it with no epochs and an error that names its type. A
     trained job builds its own datasets, serial or pooled (see _forked); a
-    replayed one builds none.
+    replayed one builds none. The model's final parameters are copied into
+    the result only when the job asks for them (Job.keep_state).
     """
     cfg = job.cfg
     try:
@@ -169,7 +181,7 @@ def run_job(job: Job) -> JobResult:
             result = train(model, train_ds, val_ds, test_ds, settings)
     except Exception as e:
         return _failure(job, e)
-    return JobResult(job=job, record=result.record, state=result.model.state_dict(), error=None)
+    return JobResult(job=job, record=result.record, state=result.model.state_dict() if job.keep_state else None)
 
 
 def _failure(job: Job, e: Exception) -> JobResult:
@@ -423,7 +435,8 @@ def cmd_train(cfg: ExperimentConfig, out_dir: str, quiet: bool,
     A noise of -0 is 0: the two train alike, so they share one fingerprint.
     """
     cfg = replace(cfg, modes=(mode if mode is not None else cfg.modes[0],), noise_levels=(noise + 0.0,))
-    jobs = [Job(cfg=cfg, mode=cfg.modes[0], noise=cfg.noise_levels[0], seed=seed) for seed in cfg.seeds]
+    jobs = [Job(cfg=cfg, mode=cfg.modes[0], noise=cfg.noise_levels[0], seed=seed, keep_state=True)
+            for seed in cfg.seeds]
 
     def write(results):
         for r in results:

@@ -191,7 +191,7 @@ def test_build_model_presets(cfg):
 
 
 def test_run_job_returns_record_and_state(cfg):
-    result = run_job(Job(cfg=cfg, mode="none", noise=0.0, seed=0))
+    result = run_job(Job(cfg=cfg, mode="none", noise=0.0, seed=0, keep_state=True))
     assert not result.failed
     assert result.record.seed == 0
     assert result.record.fingerprint == cfg.fingerprint("none", 0.0)
@@ -433,13 +433,47 @@ def test_cmd_multitask_rejects_single_task_config(cfg, tmp_path):
 
 
 def test_parallel_workers_match_serial_output(cfg, tmp_path, monkeypatch):
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    assert cmd_noise_sweep(cfg, str(serial), quiet=True) == 0
-    monkeypatch.setenv("QREG_THREADS", "2")
-    assert cmd_noise_sweep(cfg, str(parallel), quiet=True) == 0
-    for name in ("sweep.csv", "sweep_mean.csv"):
-        assert (serial / name).read_text() == (parallel / name).read_text()
+    batches = []
+    real = qreg.experiments.run_jobs
+
+    def recording(jobs, quiet):
+        batches.append(real(jobs, quiet))
+        return batches[-1]
+
+    monkeypatch.setattr(qreg.experiments, "run_jobs", recording)
+    monkeypatch.setattr(qreg.experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QREG_THREADS", threads)
+        assert cmd_noise_sweep(cfg, str(tmp_path / threads / "sweep"), quiet=True) == 0
+        assert cmd_train(cfg, str(tmp_path / threads / "train"), quiet=True) == 0
+    serial, pooled = ({path.relative_to(tmp_path / threads): path.read_bytes()
+                       for path in (tmp_path / threads).rglob("*") if path.is_file()}
+                      for threads in ("1", "2"))
+    assert serial == pooled
+    assert sum(name.suffix == ".qreg" for name in serial) == len(cfg.seeds)  # the checkpoints are compared too
+    sweep, train = batches[2:]  # the pooled runs: a sweep's results carry records only, train's their models
+    assert all(r.state is None for r in sweep)
+    assert all(r.state is not None for r in train)
+
+
+def test_a_sweep_holds_no_more_memory_for_more_jobs(cfg, monkeypatch):
+    monkeypatch.delenv("QREG_THREADS", raising=False)
+    cfg = replace(cfg, modes=("none",), noise_levels=(0.0,), epochs=1)
+    one_state = sum(a.nbytes for a in build_model(cfg, seed=0, dropout_p=0.0).state_dict().values())
+
+    def held(seeds):
+        # the jobs cmd_noise_sweep makes; what their results keep alive once run_jobs returns
+        jobs = sweep_jobs(replace(cfg, seeds=seeds))
+        tracemalloc.start()
+        try:
+            results = run_jobs(jobs, quiet=True)
+            assert not any(r.failed for r in results)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    held((0,))  # what a first call allocates once (imports, caches) is not the jobs'
+    assert abs(held(tuple(range(8))) - held((0, 1))) < one_state
 
 
 # ------------------------------------------------- early stopping replayed
@@ -492,7 +526,7 @@ def assert_same_result(replayed, trained):
 @pytest.mark.parametrize("patience", [0, 1, 2, 6])
 def test_replayed_early_stopping_equals_training_it(patience, metric):
     cfg = replay_cfg(patience, metric)
-    results = run_jobs(sweep_jobs(cfg), quiet=True)
+    results = run_jobs([replace(job, keep_state=True) for job in sweep_jobs(cfg)], quiet=True)
     replayed = [r for r in results if r.job.mode == "early_stopping"]
     assert len(replayed) == 4
     for r in replayed:
@@ -572,7 +606,7 @@ def test_run_jobs_trains_every_job_but_the_replayed_one(monkeypatch):
     monkeypatch.setattr(qreg.experiments, "run_job", counted_run_job)
     monkeypatch.setattr(qreg.experiments, "train", counted_train)
     monkeypatch.delenv("QREG_THREADS", raising=False)
-    jobs = [Job(cfg=cfg, mode=mode, noise=0.4, seed=0) for mode in MODES]
+    jobs = [Job(cfg=cfg, mode=mode, noise=0.4, seed=0, keep_state=True) for mode in MODES]
     results = run_jobs(jobs, quiet=True)
     assert calls == {"run_job": 7, "train": 6}
     assert [r.job.mode for r in results] == sorted(MODES)
@@ -580,8 +614,8 @@ def test_run_jobs_trains_every_job_but_the_replayed_one(monkeypatch):
 
 
 def test_early_stopping_without_its_twin_is_trained():
-    alone = run_jobs([Job(cfg=replay_cfg(), mode="early_stopping", noise=0.0, seed=0),
-                      Job(cfg=replay_cfg(), mode="none", noise=0.4, seed=0)], quiet=True)
+    alone = run_jobs([Job(cfg=replay_cfg(), mode="early_stopping", noise=0.0, seed=0, keep_state=True),
+                      Job(cfg=replay_cfg(), mode="none", noise=0.4, seed=0, keep_state=True)], quiet=True)
     assert all(r.state is not None for r in alone)
 
 

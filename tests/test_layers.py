@@ -558,7 +558,7 @@ keep_batchnorm = true
 @pytest.mark.parametrize("mode", ["none", "weight_decay", "quantization"])
 def test_training_run_is_bitwise_the_composed_graph_run(preset, kind, mode, monkeypatch):
     cfg = parse_config(TRAIN_INI.format(preset=preset, kind=kind))
-    job = Job(cfg=cfg, mode=mode, noise=0.2, seed=0)
+    job = Job(cfg=cfg, mode=mode, noise=0.2, seed=0, keep_state=True)
     fused = run_job(job)
     for (cls, attr), fn in COMPOSED_LAYERS.items():
         monkeypatch.setattr(cls, attr, fn)

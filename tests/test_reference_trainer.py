@@ -51,7 +51,8 @@ def config(preset: str, **changes):
 def assert_train_is_the_reference(cfg, mode: str, always_early_stop: bool = False, noise: float = 0.3):
     """Train one job through run_job and through the reference; return the reference's (rows, best_epoch)."""
     seed = 0
-    got = run_job(Job(cfg=cfg, mode=mode, noise=noise, seed=seed, always_early_stop=always_early_stop))
+    got = run_job(Job(cfg=cfg, mode=mode, noise=noise, seed=seed, always_early_stop=always_early_stop,
+                      keep_state=True))
     assert not got.failed, got.error
     settings = cfg.train_settings(mode, seed, noise, always_early_stop=always_early_stop)
     model = build_model(cfg, seed, settings.reg.dropout_p if mode == "dropout" else 0.0)

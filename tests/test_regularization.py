@@ -90,7 +90,7 @@ WEIGHT_DECAY_CONFIGS = {
 @pytest.mark.parametrize("preset", sorted(WEIGHT_DECAY_CONFIGS))
 def test_weight_decay_runs_are_bitwise_those_of_the_composed_penalty(preset, monkeypatch):
     cfg = ExperimentConfig(train_size=200, test_size=40, epochs=3, **WEIGHT_DECAY_CONFIGS[preset])
-    job = Job(cfg=cfg, mode="weight_decay", noise=0.2, seed=3)
+    job = Job(cfg=cfg, mode="weight_decay", noise=0.2, seed=3, keep_state=True)
     fused = run_job(job)
     monkeypatch.setattr(qreg.training, "weight_decay_loss", composed_weight_decay)
     composed = run_job(job)
