@@ -121,9 +121,15 @@ class Job:
     swept setting (the `hyper` column and the progress line). keep_state
     asks for the trained model's final parameters in the result. Only
     cmd_train, which writes them, sets it, so a sweep holds no job's arrays
-    once the job is done; it enters neither key nor the fingerprint. twin,
-    when set, is the finished `none` result that an early_stopping job is
-    replayed from instead of being trained (see _finished).
+    once the job is done; it enters neither key nor the fingerprint.
+    final_row_only says that the job's reader needs only the record's final
+    row, so train measures train_acc and the test set for that row alone
+    (TrainSettings.final_row_only). The three sweep commands set it, and
+    _finished clears it on a `none` job that an early_stopping job is
+    replayed from; cmd_train, which writes every row, leaves it off. It
+    enters neither key, job equality nor the fingerprint. twin, when set,
+    is the finished `none` result that an early_stopping job is replayed
+    from instead of being trained (see _finished).
     """
 
     cfg: ExperimentConfig
@@ -133,6 +139,7 @@ class Job:
     extra: str = ""
     always_early_stop: bool = False
     keep_state: bool = False
+    final_row_only: bool = field(default=False, compare=False)
     twin: JobResult | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -166,11 +173,15 @@ def run_job(job: Job) -> JobResult:
     exception fails it with no epochs and an error that names its type. A
     trained job builds its own datasets, serial or pooled (see _forked); a
     replayed one builds none. The model's final parameters are copied into
-    the result only when the job asks for them (Job.keep_state).
+    the result only when the job asks for them (Job.keep_state). The record
+    holds every row measured in full unless the job asks for its final row
+    alone (Job.final_row_only): that row is then measured on the model train
+    returns, a stopping run's restored best epoch included.
     """
     cfg = job.cfg
     try:
         settings = cfg.train_settings(job.mode, job.seed, job.noise, always_early_stop=job.always_early_stop)
+        settings = replace(settings, final_row_only=job.final_row_only)
         if job.twin is not None:
             return _replay(job, settings)
         dropout_p = settings.reg.dropout_p if job.mode == "dropout" else 0.0
@@ -337,10 +348,13 @@ def _finished(jobs: list[Job]) -> Iterator[JobResult]:
     job whose `none` twin (the same job in every other field) is in the
     batch is not trained: as soon as the twin finishes, run_job replays it
     from the twin's result in this process, with the bytes training would
-    give. The jobs of a batch are distinct.
+    give. Such a twin is trained with every row measured in full
+    (Job.final_row_only cleared), because the replay's final row can be any
+    of them. The jobs of a batch are distinct.
     """
     replayed = {replace(job, mode="early_stopping") for job in jobs if job.mode == "none"}.intersection(jobs)
-    trained = [job for job in jobs if job not in replayed]
+    twins = {replace(job, mode="none") for job in replayed}
+    trained = [replace(job, final_row_only=False) if job in twins else job for job in jobs if job not in replayed]
     workers = min(worker_count(), len(trained), len(os.sched_getaffinity(0)))
     results = (_forked(sorted(trained, key=lambda job: SUBMIT_RANK[job.mode]), workers) if workers > 1
                else map(run_job, trained))
@@ -459,7 +473,7 @@ def cmd_noise_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
         raise ConfigError("noise sweep needs the 'none' baseline in the mode list",
                           key="experiment.modes")
     jobs = [
-        Job(cfg=cfg, mode=mode, noise=s, seed=seed)
+        Job(cfg=cfg, mode=mode, noise=s, seed=seed, final_row_only=True)
         for mode in cfg.modes for s in cfg.noise_levels for seed in cfg.seeds
     ]
 
@@ -509,7 +523,7 @@ def cmd_stability_sweep(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int
     if not variants:
         raise ConfigError("every stability grid is empty; nothing to sweep", key="stability")
     jobs = [
-        Job(cfg=variant, mode=mode, noise=s, seed=seed, extra=label)
+        Job(cfg=variant, mode=mode, noise=s, seed=seed, extra=label, final_row_only=True)
         for mode, label, variant in variants
         for s in cfg.noise_levels for seed in cfg.seeds
     ]
@@ -535,7 +549,8 @@ def cmd_multitask(cfg: ExperimentConfig, out_dir: str, quiet: bool) -> int:
     if cfg.data_kind != "multitask":
         raise ConfigError("the multitask command needs kind = multitask", key="data.kind")
     jobs = [
-        Job(cfg=cfg, mode=mode, noise=max(cfg.noise_levels), seed=seed, always_early_stop=True)
+        Job(cfg=cfg, mode=mode, noise=max(cfg.noise_levels), seed=seed, always_early_stop=True,
+            final_row_only=True)
         for mode in MULTITASK_MODES for seed in cfg.seeds
     ]
 

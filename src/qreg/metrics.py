@@ -69,7 +69,8 @@ def aggregate_runs(records: list[RunRecord]) -> RunSummary:
 
     All records must share a fingerprint (identical resolved config apart
     from the seed). Early-stopped records may have different lengths; each
-    contributes its final row (the best epoch when one is set).
+    contributes its final row (the best epoch when one is set), the one row
+    a partial record measures in full.
     """
     if not records:
         raise ContractError("aggregate_runs needs at least one record")
@@ -80,7 +81,7 @@ def aggregate_runs(records: list[RunRecord]) -> RunSummary:
         if not r.rows:
             raise ContractError(f"record for seed {r.seed} holds no completed epoch")
 
-    metric_names = list(records[0].rows[0].metrics())
+    metric_names = list(records[0].final_row().metrics())
     final_mean: dict[str, float] = {}
     final_std: dict[str, float] = {}
     finals = {name: np.array([r.final_row().metrics()[name] for r in records]) for name in metric_names}

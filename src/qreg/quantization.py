@@ -98,7 +98,7 @@ def fake_quantize(x: np.ndarray, bits: int, scale) -> np.ndarray:
     np.abs(y, out=y)
     y += 0.5
     np.floor(y, out=y)
-    np.minimum(y, q, out=y)
+    T.against_scalar(np.minimum, y, q, y)
     np.copysign(y, x, out=y)
     return np.multiply(y, lam / q, out=y)
 

@@ -13,6 +13,11 @@ train_loss is the mean optimized data term over the epoch's minibatches
 (smoothed targets when label smoothing is on; the weight-decay penalty is
 never included). val_loss/val_acc/test_acc are eval-mode metrics on hard
 labels.
+
+A record whose reader needs only its final row (a sweep job's; see
+training.train) measures train_acc, test_acc and F1 on that row alone. Every
+other row holds None there: not measured, which is neither 0 nor NaN. Such
+a partial record can be aggregated but never written (RunRecord.cells).
 """
 
 from __future__ import annotations
@@ -61,17 +66,21 @@ METRICS = ("train_loss", "val_loss", "train_acc", "val_acc", "test_acc")
 
 @dataclass
 class EpochRow:
+    """One epoch's metrics; train_acc and test_acc are None when not measured,
+    and so are f1 and f1_avg (which single-task rows never hold)."""
+
     epoch: int
     train_loss: float
     val_loss: float
-    train_acc: float
+    train_acc: float | None
     val_acc: float
-    test_acc: float
+    test_acc: float | None
     f1: tuple[float, ...] | None = None
     f1_avg: float | None = None
 
     def metrics(self) -> dict[str, float]:
-        out = {name: getattr(self, name) for name in METRICS}
+        """The measured metrics by CSV column name."""
+        out = {name: getattr(self, name) for name in METRICS if getattr(self, name) is not None}
         if self.f1 is not None:
             for t, v in enumerate(self.f1):
                 out[f"f1_t{t}"] = v
@@ -104,9 +113,13 @@ class RunRecord:
         return cols
 
     def cells(self) -> list[list[str]]:
-        """One list of CSV cells per epoch row, in header order."""
+        """One list of CSV cells per epoch row, in header order; a row that
+        did not measure a column raises ContractError."""
         out = []
         for row in self.rows:
+            unmeasured = [name for name in METRICS if getattr(row, name) is None]
+            if unmeasured:
+                raise ContractError(f"epoch {row.epoch} row did not measure {', '.join(unmeasured)}")
             line = [str(row.epoch)] + [fmt(getattr(row, name)) for name in METRICS]
             if self.num_tasks:
                 if row.f1 is None or len(row.f1) != self.num_tasks:

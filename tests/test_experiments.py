@@ -613,6 +613,99 @@ def test_run_jobs_trains_every_job_but_the_replayed_one(monkeypatch):
     assert [r.state is None for r in results] == [m == "early_stopping" for m in sorted(MODES)]
 
 
+# ------------------------------------------------- final rows measured alone
+
+STOPPING_MULTI = MULTI + """learning_rate = 0.02
+
+[regularization]
+early_stop_patience = 1
+
+[pruning]
+warmup_epochs = 1
+"""
+
+STABILITY_CNN = SMALL.replace("dim = 8", "dim = 16") + """
+[model]
+preset = cnn-small
+
+[stability]
+quant_bits = 2,4
+prune_ratios = 0.5
+dropout_rates = 0.1
+"""
+
+SWEEPS = {
+    "noise-sweep": (cmd_noise_sweep, lambda: replay_cfg(patience=1)),
+    "stability-sweep": (cmd_stability_sweep, lambda: replace(parse_config(STABILITY_CNN), noise_levels=(0.3,))),
+    "multitask": (cmd_multitask, lambda: replace(parse_config(STOPPING_MULTI), epochs=6)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SWEEPS))
+def test_a_sweep_writes_the_same_bytes_as_with_every_row_measured(command, tmp_path, monkeypatch, capsys):
+    sweep, make_cfg = SWEEPS[command]
+    cfg = make_cfg()
+    monkeypatch.delenv("QREG_THREADS", raising=False)
+    final_row_only = []  # TrainSettings.final_row_only of every trained job
+    real_train, real_run_job = qreg.experiments.train, qreg.experiments.run_job
+
+    def recording(model, train_ds, val_ds, test_ds, settings):
+        final_row_only.append(settings.final_row_only)
+        return real_train(model, train_ds, val_ds, test_ds, settings)
+
+    monkeypatch.setattr(qreg.experiments, "train", recording)
+    outputs = []
+    for whole in (False, True):
+        if whole:
+            monkeypatch.setattr(qreg.experiments, "run_job", lambda job: real_run_job(replace(job, final_row_only=False)))
+        out = tmp_path / str(whole)
+        code = sweep(cfg, str(out), quiet=False)
+        outputs.append((code, {path.name: path.read_bytes() for path in out.iterdir()}, capsys.readouterr().out))
+        assert set(final_row_only) == ({False} if whole else {True} if command != "noise-sweep" else {False, True})
+        final_row_only.clear()
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and "epochs=" in outputs[0][2]
+
+
+def test_a_sweep_job_evaluates_the_training_and_test_sets_once(tmp_path, monkeypatch):
+    monkeypatch.delenv("QREG_THREADS", raising=False)
+    rows, results, running = {}, {}, []  # rows through eval_logits and the result, by job
+    real_eval_logits, real_run_job = qreg.training.eval_logits, qreg.experiments.run_job
+
+    def counted(model, features):
+        rows[running[-1]].append(features.shape[0])
+        return real_eval_logits(model, features)
+
+    def tagged(job):
+        running.append(job)
+        rows[job] = []
+        results[job] = real_run_job(job)
+        return results[job]
+
+    monkeypatch.setattr(qreg.training, "eval_logits", counted)
+    monkeypatch.setattr(qreg.experiments, "run_job", tagged)
+    blobs = replace(replay_cfg(patience=1), seeds=(0,), modes=("none", "early_stopping", "quantization"))
+    assert cmd_noise_sweep(blobs, str(tmp_path / "sweep"), quiet=True) == 0
+    assert cmd_multitask(replace(parse_config(STOPPING_MULTI), seeds=(0,), epochs=6),
+                         str(tmp_path / "multitask"), quiet=True) == 0
+    swept = set(rows)
+    assert cmd_train(blobs, str(tmp_path / "train"), quiet=True, mode="weight_decay", noise=0.4) == 0
+    assert len(rows) == 6 + 6 + 1
+    stopped = 0
+    for job, counts in rows.items():
+        train_ds, val_ds, test_ds = build_datasets(job.cfg, job.seed, job.noise)
+        epochs = len(results[job].record.rows)
+        stopped += epochs < job.cfg.epochs
+        if job.mode == "early_stopping":  # replayed from its `none` twin
+            assert counts == []
+        elif job not in swept or job.mode == "none" and replace(job, mode="early_stopping") in rows:
+            # a train job, or the `none` job a replay reads
+            assert counts == [val_ds.n, train_ds.n, test_ds.n] * epochs
+        else:
+            assert counts == [val_ds.n] * epochs + [train_ds.n, test_ds.n]
+    assert stopped  # a stopping run measured its final row after restoring its best epoch
+
+
 def test_early_stopping_without_its_twin_is_trained():
     alone = run_jobs([Job(cfg=replay_cfg(), mode="early_stopping", noise=0.0, seed=0, keep_state=True),
                       Job(cfg=replay_cfg(), mode="none", noise=0.4, seed=0, keep_state=True)], quiet=True)

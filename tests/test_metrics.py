@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,19 @@ def test_aggregate_multitask_includes_f1_average():
     summary = aggregate_runs([rec])
     assert isinstance(summary, RunSummary)
     assert summary.final_mean["f1_avg"] == 0.6
+
+
+def test_aggregate_reads_metric_names_from_the_final_row_of_partial_records():
+    # as a sweep job leaves them: only the final row measured train_acc, test_acc and F1
+    def partial(seed, f1_avg, best_epoch):
+        rows = [EpochRow(epoch=e, train_loss=1.0, val_loss=0.5, train_acc=None, val_acc=0.8, test_acc=None)
+                for e in (1, 2, 3)]
+        rows[best_epoch - 1] = replace(rows[best_epoch - 1], train_acc=0.9, test_acc=0.7,
+                                       f1=(f1_avg, f1_avg), f1_avg=f1_avg)
+        return RunRecord(fingerprint="abc", seed=seed, num_tasks=2, rows=rows, best_epoch=best_epoch)
+
+    summary = aggregate_runs([partial(0, 0.5, 3), partial(1, 0.7, 2)])
+    assert sorted(summary.final_mean) == ["f1_avg", "f1_t0", "f1_t1", "test_acc", "train_acc",
+                                          "train_loss", "val_acc", "val_loss"]
+    assert summary.final_mean["f1_avg"] == pytest.approx(0.6)
+    assert summary.final_mean["test_acc"] == 0.7

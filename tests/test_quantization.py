@@ -1,5 +1,7 @@
 """Quantizer properties, scale tracking, STE wiring, and model wrapping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,26 @@ def test_fake_quantize_is_bitwise_the_clipped_rounding(bits):
         got = fake_quantize(weight, bits, lam)
         assert got.flags.f_contiguous == weight.flags.f_contiguous  # keeps the layout
         assert_same_int64(got, want)
+
+    for shape in ((64, 16, 4, 8), (64, 256), (7, 3, 2)):  # activations under one scale
+        act = np.random.default_rng(bits).standard_normal(shape) * 3.0
+        act.reshape(-1)[:len(special)] = special
+        for x in (act, np.asfortranarray(act), act.transpose(1, 0, *range(2, act.ndim))):
+            got = fake_quantize(x, bits, 1.5)
+            assert got.flags.c_contiguous == x.flags.c_contiguous
+            assert_same_int64(got, formula_fake_quantize(x, bits, 1.5))
+
+
+def test_fake_quantize_allocates_its_result_alone():
+    x = np.random.default_rng(0).standard_normal((512, 256))
+    fake_quantize(x, 4, 1.0)  # fills the clamp's cached row
+    tracemalloc.start()
+    try:
+        fake_quantize(x, 4, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.nbytes <= peak < x.nbytes * 5 // 4  # a full-size temporary would double it
 
 
 def test_fake_quantize_accepts_an_empty_per_channel_scale():

@@ -47,6 +47,22 @@ def test_multitask_row_missing_f1_rejected():
         rec.to_csv_text()
 
 
+def test_a_row_that_was_not_measured_cannot_be_written(tmp_path):
+    for unmeasured in (["train_acc"], ["test_acc"], ["train_acc", "test_acc"]):
+        partial = make_row(1, **dict.fromkeys(unmeasured))
+        assert sorted(partial.metrics()) == sorted({"train_loss", "val_loss", "val_acc",
+                                                    "train_acc", "test_acc"} - set(unmeasured))
+        rec = RunRecord(fingerprint="abc", seed=0, rows=[partial, make_row(2)])
+        with pytest.raises(ContractError, match=f"epoch 1 row did not measure {', '.join(unmeasured)}"):
+            rec.write_csv(tmp_path / "run.csv")
+        assert not (tmp_path / "run.csv").exists()
+    multitask = RunRecord(fingerprint="abc", seed=0, num_tasks=2,
+                          rows=[make_row(1, train_acc=None, test_acc=None),
+                                make_row(2, f1=(0.5, 1.0), f1_avg=0.75)])
+    with pytest.raises(ContractError, match="epoch 1 row did not measure train_acc, test_acc"):
+        multitask.cells()
+
+
 def test_final_row_follows_best_epoch():
     rows = [make_row(1, test_acc=0.1), make_row(2, test_acc=0.9), make_row(3, test_acc=0.2)]
     rec = RunRecord(fingerprint="abc", seed=0, rows=rows)

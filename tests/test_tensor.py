@@ -105,6 +105,29 @@ def test_reduction_and_shape_op_grads():
             check_grads(op_node, op_np, [arr], rng)
 
 
+# eval chunks and training batches of the presets' hidden layers, an odd
+# shape, and the scalar form's inputs (under 2-D, empty)
+RELU_SHAPES = [(512, 256), (64, 256), (64, 16, 4, 8), (512, 8, 2, 4), (7, 3), (5,), (0, 4), ()]
+
+
+@pytest.mark.parametrize("shape", RELU_SHAPES)
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_relu_value_is_bitwise_the_scalar_maximum(shape, order):
+    quiet_nan = np.array([0x7FF8000000000123], dtype=np.int64).view(np.float64)[0]
+    special = [0.0, -0.0, np.nan, -np.nan, quiet_nan, -quiet_nan, np.inf, -np.inf, 5e-324, -5e-324]
+    v = np.random.default_rng(0).standard_normal(shape)
+    flat = v.reshape(-1)
+    flat[:len(special)] = special[:flat.size]
+    v = np.asarray(v, order=order)
+    got, want = T.relu_value(v), np.maximum(v, 0.0)
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous == want.flags.c_contiguous  # keeps the layout
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.int64),
+                                  np.ascontiguousarray(want).view(np.int64), strict=True)
+    np.testing.assert_array_equal(v.reshape(-1)[:len(special)].view(np.int64),
+                                  np.array(special[:v.size]).view(np.int64))  # v is only read
+
+
 def test_relu_gradient_is_zero_at_zero():
     x = T.parameter(np.array([[-1.0, 0.0, 2.0]]))
     T.backward(T.reduce_sum(T.relu(x)))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -516,29 +518,97 @@ WHOLE_RUNS = {
 }
 
 
+def whole_run(case, splits, final_row_only=False):
+    mode = case.split("+")[0]
+    rng = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(0,)))
+    model = Model([Dense(8, 24, rng), ReLU(), Dense(24, 16, rng), ReLU(), Dense(16, 3, rng)],
+                  head="softmax", out_dim=3, input_shape=(8,))
+    if mode == "dropout":
+        model.layers.insert(2, Dropout(0.2))
+    return train(model, *splits, TrainSettings(mode=mode, epochs=8, batch_size=32, learning_rate=0.01, seed=4,
+                                               final_row_only=final_row_only, **WHOLE_RUNS[case]))
+
+
 @pytest.mark.parametrize("case", sorted(WHOLE_RUNS))
 def test_whole_runs_are_bitwise_those_of_the_per_parameter_adam(case, blob_splits, tmp_path, monkeypatch):
     from qreg.checkpoint import write_container
 
-    tr, val, test_ds = blob_splits
-    mode = case.split("+")[0]
     outputs = []
     for optimizer in (Adam, PerParameterAdam):
         monkeypatch.setattr(qreg.training, "Adam", optimizer)
-        rng = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(0,)))
-        model = Model([Dense(8, 24, rng), ReLU(), Dense(24, 16, rng), ReLU(), Dense(16, 3, rng)],
-                      head="softmax", out_dim=3, input_shape=(8,))
-        if mode == "dropout":
-            model.layers.insert(2, Dropout(0.2))
-        res = train(model, tr, val, test_ds,
-                    TrainSettings(mode=mode, epochs=8, batch_size=32, learning_rate=0.01, seed=4,
-                                  **WHOLE_RUNS[case]))
+        res = whole_run(case, blob_splits)
         path = tmp_path / f"{optimizer.__name__}.qreg"
         write_container(path, res.model.state_dict())
         outputs.append((res.record.to_csv_text(), res.record.best_epoch, path.read_bytes()))
         if "early" in case:  # the run stopped and restored its best epoch's parameters
             assert res.record.best_epoch < len(res.record.rows) < 8
     assert outputs[0] == outputs[1]
+
+
+def assert_measured_alike(final, whole):
+    """`final` (a final_row_only record) holds `whole`'s rows, its final row in full and
+    every other row without train_acc and the test metrics."""
+    assert final.best_epoch == whole.best_epoch
+    assert len(final.rows) == len(whole.rows)
+    for i, (a, b) in enumerate(zip(final.rows, whole.rows)):
+        if i == whole.best_epoch - 1:
+            assert vars(a) == vars(b)  # every field, compared exactly
+        else:
+            assert (a.train_acc, a.test_acc, a.f1, a.f1_avg) == (None, None, None, None)
+            assert vars(a) == vars(replace(b, train_acc=None, test_acc=None, f1=None, f1_avg=None))
+
+
+@pytest.mark.parametrize("case", sorted(WHOLE_RUNS))
+def test_a_run_that_measures_its_final_row_alone_measures_it_as_every_epoch_does(case, blob_splits):
+    whole, final = (whole_run(case, blob_splits, final_row_only) for final_row_only in (False, True))
+    assert_measured_alike(final.record, whole.record)
+    whole_state, final_state = whole.model.state_dict(), final.model.state_dict()
+    assert whole_state.keys() == final_state.keys()
+    for name, value in whole_state.items():
+        assert final_state[name].tobytes() == value.tobytes()
+    if "early" in case:  # the final row is the restored best epoch, not the last one
+        assert whole.record.best_epoch < len(whole.record.rows)
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("quantization", dict(quant=QuantConfig(weight_bits=4, act_bits=4, keep_batchnorm=True))),
+    ("pruning", dict(prune=PruneSpec(ratio=0.5, warmup_epochs=2)))])
+def test_a_stopping_multitask_run_measures_its_final_row_alone_as_every_epoch_does(mode, extra):
+    ds = synth_multitask(num_tasks=4, n=400, dim=10, seed=9)
+    tr_full, test_ds = split(ds, 0.25, 50)
+    tr, val = split(tr_full, 0.15, 51)
+    records = []
+    for final_row_only in (False, True):
+        model = build_mlp_multitask(10, 4, np.random.default_rng(1))
+        settings = TrainSettings(mode=mode, epochs=10, batch_size=32, learning_rate=0.02, seed=9,
+                                 always_early_stop=True, reg=RegularizerConfig(early_stop_patience=1),
+                                 final_row_only=final_row_only, **extra)
+        records.append(train(model, tr, val, test_ds, settings).record)
+    whole, final = records
+    assert whole.best_epoch < len(whole.rows)  # the final row is a restored best epoch
+    assert_measured_alike(final, whole)
+    assert final.final_row().f1 is not None and len(final.final_row().f1) == 4
+
+
+@pytest.mark.parametrize("final_row_only", [False, True])
+def test_eval_passes_per_epoch_follow_final_row_only(blob_splits, monkeypatch, final_row_only):
+    tr, val, test_ds = blob_splits
+    rows = []
+    real = qreg.training.eval_logits
+
+    def counted(model, features):
+        rows.append(features.shape[0])
+        return real(model, features)
+
+    monkeypatch.setattr(qreg.training, "eval_logits", counted)
+    settings = TrainSettings(mode="early_stopping", epochs=30, batch_size=32, learning_rate=0.05, seed=1,
+                             reg=RegularizerConfig(early_stop_patience=1), final_row_only=final_row_only)
+    epochs = len(train(tiny_model(1), tr, val, test_ds, settings).record.rows)
+    assert epochs < 30
+    if final_row_only:  # the validation set every epoch; the training and test sets once
+        assert rows == [val.n] * epochs + [tr.n, test_ds.n]
+    else:
+        assert rows == [val.n, tr.n, test_ds.n] * epochs
 
 
 def test_pruning_with_no_warmup_prunes_before_the_first_epoch(blob_splits, monkeypatch):
